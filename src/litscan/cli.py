@@ -31,8 +31,14 @@ from .corpus import (
     tag_universe,
 )
 from .dsl import AnalyzerParseError, BundleError, load_bundle
-from .ingest import SourceMeta, load_document, load_manifest
-from .matching import MatchConfig
+from .ingest import DEFAULT_SHORT_THRESHOLD, SourceMeta, load_document, load_manifest
+from .matching import (
+    DEFAULT_FUZZY_MIN_LEN,
+    DEFAULT_MAX_EDITS,
+    DEFAULT_SKIP_WINDOW,
+    DEFAULT_SUPPORT_WINDOW,
+    MatchConfig,
+)
 from .validation import confusion, confusion_csv, load_truth, regression_check, stratified_sample
 
 log = logging.getLogger("litscan")
@@ -48,15 +54,15 @@ def _match_config(args: argparse.Namespace) -> MatchConfig:
 
 
 def _add_match_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--support-window", type=int, default=500, metavar="N",
+    p.add_argument("--support-window", type=int, default=DEFAULT_SUPPORT_WINDOW, metavar="N",
                    help="characters around a primary match searched for supports")
-    p.add_argument("--skip-window", type=int, default=20, metavar="N",
+    p.add_argument("--skip-window", type=int, default=DEFAULT_SKIP_WINDOW, metavar="N",
                    help="characters around a primary match evaluated by skip matchers")
-    p.add_argument("--max-edits", type=int, choices=(0, 1), default=1,
+    p.add_argument("--max-edits", type=int, choices=(0, 1), default=DEFAULT_MAX_EDITS,
                    help="edit budget for fuzzy term matching")
-    p.add_argument("--fuzzy-min-len", type=int, default=8, metavar="N",
+    p.add_argument("--fuzzy-min-len", type=int, default=DEFAULT_FUZZY_MIN_LEN, metavar="N",
                    help="minimum term length for fuzzy matching")
-    p.add_argument("--short-threshold", type=int, default=4000, metavar="N",
+    p.add_argument("--short-threshold", type=int, default=DEFAULT_SHORT_THRESHOLD, metavar="N",
                    help="skip texts with fewer words than this")
     p.add_argument("--converter", default=None, metavar="CMD",
                    help="external command template with an {input} placeholder "

@@ -78,10 +78,9 @@ def classify_paper(
     summaries: list[TagSummary] = []
     tag_verdicts: dict[str, str] = {}
     if doc.status == STATUS_ANALYZED:
-        cache: dict = {}
         excluders = [s for s in bundle if s.mode == "exclude"]
         exclusion_evidence = [
-            resolve_analyzer(run_analyzer(doc, s, config.match, cache), s) for s in excluders
+            resolve_analyzer(run_analyzer(doc, s, config.match), s) for s in excluders
         ]
         if decide_exclusion(exclusion_evidence):
             doc = replace(doc, status=STATUS_EXCLUDED_SECONDARY)
@@ -89,7 +88,7 @@ def classify_paper(
         else:
             classifiers = [s for s in bundle if s.mode == "classify"]
             class_evidence = [
-                resolve_analyzer(run_analyzer(doc, s, config.match, cache), s) for s in classifiers
+                resolve_analyzer(run_analyzer(doc, s, config.match), s) for s in classifiers
             ]
             summaries = aggregate_tags(class_evidence)
             tag_verdicts = {s.tag: s.verdict for s in summaries}
@@ -111,10 +110,10 @@ def classify_file(
 ) -> tuple[CorpusResult | None, str | None, str | None]:
     """Load and classify one paper; returns (result, report, error)."""
     try:
-        doc = load_document(meta, config.converter)
-    except Exception as exc:  # per-paper isolation: any load failure is recorded
-        return None, None, f"{meta.paper_id}: {exc}"
-    result, report = classify_paper(doc, bundle, config)
+        result, report = classify_paper(load_document(meta, config.converter), bundle, config)
+    except Exception as exc:  # per-paper isolation: any failure costs only this paper
+        log.exception("classifying %s failed", meta.paper_id)
+        return None, None, f"{meta.paper_id}: {type(exc).__name__}: {exc}"
     return result, report, None
 
 

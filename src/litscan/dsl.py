@@ -27,7 +27,7 @@ character is '#' are comments, except #RegexpMatcher(...)# tokens inside the
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ingest import normalize
@@ -115,16 +115,15 @@ class AnalyzerSpec:
     tags: tuple[str, ...]
     region_fraction: float = 1.0
     mode: str = "classify"  # "classify" | "exclude"
+    normalized_synonyms: tuple[str, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "normalized_synonyms", tuple(normalize_phrase(s) for s in self.synonyms))
 
     def candidate_terms(self, example: ExampleTemplate) -> tuple[str, ...]:
         """Normalized search terms for one example: its primary plus every
         analyzer synonym, deduplicated after normalization."""
-        terms: list[str] = []
-        for phrase in (example.primary, *self.synonyms):
-            np = normalize_phrase(phrase)
-            if np and np not in terms:
-                terms.append(np)
-        return tuple(terms)
+        return tuple(dict.fromkeys((example.normalized_primary, *self.normalized_synonyms)))
 
 
 def parse_skip_matcher(token: str) -> SkipMatcher:

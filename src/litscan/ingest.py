@@ -12,6 +12,7 @@ import logging
 import math
 import shlex
 import subprocess
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -70,7 +71,8 @@ def normalize(raw: str) -> tuple[str, tuple[int, ...]]:
 
     offset_map[i] is the raw index of the character normalized[i] derives
     from; a collapsed space maps to the first raw character of the run it
-    replaces. The map is total and non-decreasing, and normalize is
+    replaces, and both characters of a lowered 'İ' map to the 'İ'. The map
+    has one entry per normalized character, is non-decreasing, and normalize is
     idempotent (re-normalizing yields the same text and the identity map).
     """
     out: list[str] = []
@@ -90,6 +92,10 @@ def normalize(raw: str) -> tuple[str, tuple[int, ...]]:
             pending_space_at = -1
         out.append(ch.lower())
         omap.append(i)
+    at = raw.find("İ")  # the one code point that lowers to two characters
+    while at != -1:
+        omap.insert(bisect_left(omap, at), at)
+        at = raw.find("İ", at + 1)
     return "".join(out), tuple(omap)
 
 

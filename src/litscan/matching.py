@@ -10,8 +10,10 @@ The distance-1 search is pigeonhole-based: any substring within one edit of
 the term contains either the term's first half or its second half verbatim
 (shifted by at most one position), except for a transposition straddling the
 midpoint, which is searched for directly. Exact occurrences of those three
-strings (C-speed str.find) propose candidate starts, which are verified with
-a banded edit-distance matrix.
+strings (C-speed str.find) propose candidate starts. Each candidate is
+verified by a first-mismatch test: past the common prefix, what is left must
+be equal after one substitution, one insertion or deletion, or one adjacent
+swap.
 """
 
 from dataclasses import dataclass, replace
@@ -85,44 +87,31 @@ def osa_distance(a: str, b: str) -> int:
     return prev[lb]
 
 
-def _osa_le1(a: str, b: str) -> int:
-    """min(osa_distance(a, b), 2), computed on a width-3 diagonal band.
+def _one_edit_distance(a: str, b: str) -> int:
+    """min(osa_distance(a, b), 2), by first-mismatch analysis.
 
-    Any alignment of cost <= 1 contains at most one insertion or deletion and
-    therefore never leaves the band |j - i| <= 1, so out-of-band cells cannot
-    contribute to a result of 0 or 1.
+    An alignment of cost 1 can put its one edit at the first mismatch, so
+    past the common prefix the rest must be equal after one substitution,
+    one insertion or deletion, or one adjacent swap made there.
     """
+    if a == b:
+        return 0
     la, lb = len(a), len(b)
     if abs(la - lb) > 1:
         return 2
-    if a == b:
-        return 0
-    BIG = 3
-    prev2 = [BIG, BIG, BIG]
-    prev = [BIG, 0, 1 if lb >= 1 else BIG]  # slot off+1 holds D[i][i+off]
-    for i in range(1, la + 1):
-        cur = [BIG, BIG, BIG]
-        ai = a[i - 1]
-        for off in (-1, 0, 1):
-            j = i + off
-            if j < 0 or j > lb:
-                continue
-            if j == 0:
-                cur[off + 1] = i
-                continue
-            best = prev[off + 1] + (0 if ai == b[j - 1] else 1)
-            if off <= 0 and prev[off + 2] + 1 < best:
-                best = prev[off + 2] + 1
-            if off >= 0 and cur[off] + 1 < best:
-                best = cur[off] + 1
-            if i > 1 and j > 1 and ai == b[j - 2] and a[i - 2] == b[j - 1]:
-                if prev2[off + 1] + 1 < best:
-                    best = prev2[off + 1] + 1
-            cur[off + 1] = best
-        if min(cur) > 1:
-            return 2
-        prev2, prev = prev, cur
-    return min(prev[lb - la + 1], 2)
+    i = 0
+    while i < la and i < lb and a[i] == b[i]:
+        i += 1
+    if la == lb:
+        # a[i + 1] exists once the substitution test fails
+        same = a[i + 1 :] == b[i + 1 :] or (
+            a[i] == b[i + 1] and a[i + 1] == b[i] and a[i + 2 :] == b[i + 2 :]
+        )
+    elif la > lb:
+        same = a[i + 1 :] == b[i:]
+    else:
+        same = a[i:] == b[i + 1 :]
+    return 1 if same else 2
 
 
 def _exact_spans(text: str, lo: int, hi: int, term: str) -> list[int]:
@@ -174,16 +163,10 @@ def find_term(
         if s + length <= hi and text.startswith(term, s):
             found.append((s, length, 0))
             continue
-        best: tuple[int, int] | None = None  # (distance, length)
-        for sub_len in (length + 1, length, length - 1):
-            e = s + sub_len
-            if e > hi:
-                continue
-            d = _osa_le1(term, text[s:e])
-            if d <= 1 and (best is None or d < best[0]):
-                best = (d, sub_len)
-        if best is not None:
-            found.append((s, best[1], best[0]))
+        for sub_len in (length + 1, length, length - 1):  # the longest one-edit span wins
+            if s + sub_len <= hi and _one_edit_distance(term, text[s : s + sub_len]) == 1:
+                found.append((s, sub_len, 1))
+                break
     spans = [
         Region(s, s + ln)
         for s, ln, d in found
@@ -256,12 +239,12 @@ def run_analyzer(
     doc: DocumentText,
     spec: AnalyzerSpec,
     config: MatchConfig,
-    cache: dict | None = None,
 ) -> list[EvidenceMatch]:
     """Locate all evidence one analyzer finds in a document.
 
     For every example, every candidate term (primary plus synonyms) is
-    searched inside the analyzer's region. One stretch of text is one piece
+    searched inside the analyzer's region; a term shared by several examples
+    is searched once per call. One stretch of text is one piece
     of evidence: a span contained in a longer span from the same example's
     term set is dropped, so "t test" inside an occurrence of "students t
     test" does not double-count. Positives gain supporting matches and pass
@@ -270,18 +253,17 @@ def run_analyzer(
     """
     region = prefix_region(doc, spec.region_fraction)
     text = doc.normalized
-    if cache is None:
-        cache = {}
+    spans_of: dict[str, list[Region]] = {}
     matches: list[EvidenceMatch] = []
     for polarity, examples in ((POSITIVE, spec.positives), (NEGATIVE, spec.negatives)):
         for idx, example in enumerate(examples):
             by_span: dict[Region, str] = {}  # first term wins: primary, then synonyms
             for term in spec.candidate_terms(example):
-                key = (term, region)
-                spans = cache.get(key)
+                spans = spans_of.get(term)
                 if spans is None:
-                    spans = find_term(text, region, term, config.max_edits, config.fuzzy_min_len)
-                    cache[key] = spans
+                    spans = spans_of[term] = find_term(
+                        text, region, term, config.max_edits, config.fuzzy_min_len
+                    )
                 for span in spans:
                     by_span.setdefault(span, term)
             kept = [

@@ -3,6 +3,7 @@ import io
 from pathlib import Path
 
 from conftest import ANALYZER_DIR, filler, make_doc
+from litscan import corpus
 from litscan.cli import main
 from litscan.corpus import (
     CorpusResult,
@@ -209,6 +210,28 @@ def test_cli_partial_failure_exit_code(tmp_path):
     rc = main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR), "--out", str(out)])
     assert rc == 2
     assert (out / "errors.csv").exists()
+
+
+def test_cli_classification_failure_costs_only_its_paper(tmp_path, monkeypatch):
+    texts = {pid: f"We used a Student's t-test in {pid}. " + " ".join(filler(90, seed=i))
+             for i, pid in enumerate(("good1", "bad", "good2"))}
+    manifest = _write_corpus(tmp_path, texts)
+    real = corpus.classify_paper
+
+    def classify_or_fail(doc, bundle, config):
+        if doc.meta.paper_id == "bad":
+            raise IndexError("tuple index out of range")
+        return real(doc, bundle, config)
+
+    monkeypatch.setattr(corpus, "classify_paper", classify_or_fail)
+    out = tmp_path / "out"
+    rc = main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+               "--out", str(out), "--short-threshold", "50", "--jobs", "1"])
+    assert rc == 2
+    rows = list(csv.reader((out / "results.csv").open()))
+    assert [r[0] for r in rows[1:]] == ["good1", "good2"]
+    errors = list(csv.reader((out / "errors.csv").open()))
+    assert errors[1] == ["bad", "bad: IndexError: tuple index out of range"]
 
 
 def test_cli_config_error_exit_code(tmp_path):
