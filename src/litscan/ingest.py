@@ -3,16 +3,19 @@ gate out short texts, and carve out prefix regions.
 
 Normalization neutralizes the noise PDF extraction leaves behind (line breaks
 inside hyphenated words, unstable whitespace, apostrophe variants) while
-keeping a per-character map back to the raw text so report snippets can show
-the original context.
+keeping an offset map back to the raw text so report snippets can show the
+original context. The map is piecewise linear: a short tuple of
+(norm_start, raw_start) breakpoints, one wherever the linear correspondence
+breaks, read with `raw_index`.
 """
 
 import csv
 import logging
 import math
+import re
 import shlex
 import subprocess
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -25,8 +28,31 @@ STATUS_EXCLUDED_SECONDARY = "excluded_secondary"
 
 DEFAULT_SHORT_THRESHOLD = 4000
 
-_APOSTROPHES = frozenset("'’")
-_HYPHENS = frozenset("-‐‑")
+_APOSTROPHES = "'’"
+_HYPHENS = "-‐‑"
+# every code point str.isspace() accepts except " "; str.split() splits on
+# the same set. A literal, because scanning Unicode costs import time.
+_OTHER_SPACES = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+# separators and dropped characters; a maximal run of them is a gap
+_GAP = " " + _OTHER_SPACES + _HYPHENS + _APOSTROPHES
+# characters that normalize to more than one character
+_WIDE = {"İ": "İ".lower()}
+_GAP_RUN = re.compile(f"[{re.escape(_GAP)}]+")
+# Where the offset map can break, apart from double spaces (str.find): every
+# apostrophe and wide character, and every separator other than " " with a
+# gap character next to it. A lone separator between two words maps one to
+# one. The pattern opens with one character class, which lets the regex
+# engine skip plain text at C speed; the lookarounds drop lone separators.
+_IRREGULAR = re.compile(
+    "[{irregular}](?:(?<=[{always}])|(?<=[{gap}][{irregular}])|(?=[{gap}]))".format(
+        irregular=re.escape(_OTHER_SPACES + _HYPHENS + _APOSTROPHES + "".join(_WIDE)),
+        always=re.escape(_APOSTROPHES + "".join(_WIDE)),
+        gap=re.escape(_GAP),
+    )
+)
 
 
 class Region(NamedTuple):
@@ -47,61 +73,90 @@ class SourceMeta:
 @dataclass(frozen=True)
 class DocumentText:
     """One paper's text, raw and normalized, plus the offset map linking the
-    two. Immutable; safe to share across parallel workers."""
+    two (see `normalize`). Immutable; safe to share across parallel workers."""
 
     meta: SourceMeta
     raw: str
     normalized: str
-    offset_map: tuple[int, ...]
+    offset_map: tuple[tuple[int, int], ...]
     word_count: int
     status: str = STATUS_ANALYZED
 
 
-def normalize(raw: str) -> tuple[str, tuple[int, ...]]:
+def normalize(raw: str) -> tuple[str, tuple[tuple[int, int], ...]]:
     """Normalize text for matching. Returns (normalized, offset_map).
 
-    Rules, applied in one pass:
+    Rules:
       1. a line break between "letter-" and a letter is removed (the word was
          split across lines); the hyphen itself then falls under rule 5
       2. every whitespace run collapses to a single space
-      3. letters are lowercased
+      3. letters are lowercased, each on its own ('Σ' always gives 'σ')
       4. apostrophes (straight and typographic) are removed
       5. every hyphen becomes a space (then collapses with neighbours)
     Leading and trailing whitespace is dropped.
 
-    offset_map[i] is the raw index of the character normalized[i] derives
-    from; a collapsed space maps to the first raw character of the run it
-    replaces, and both characters of a lowered 'İ' map to the 'İ'. The map
-    has one entry per normalized character, is non-decreasing, and normalize is
-    idempotent (re-normalizing yields the same text and the identity map).
+    offset_map holds (norm_start, raw_start) breakpoints, sorted, the first
+    at norm_start 0; raw_index(offset_map, i) is the raw index of the
+    character normalized[i] derives from. A collapsed space maps to the
+    first separator of the run it replaces, and both characters of a lowered
+    'İ' map to the 'İ'. The map is non-decreasing, and normalize is
+    idempotent (re-normalizing yields the same text and the identity map,
+    ((0, 0),)).
     """
-    out: list[str] = []
-    omap: list[int] = []
-    pending_space_at = -1  # raw index of the first char of a pending space run
-    for i, ch in enumerate(raw):
-        if ch in _APOSTROPHES:
-            continue
-        if ch in _HYPHENS or ch.isspace():
-            if pending_space_at < 0:
-                pending_space_at = i
-            continue
-        if pending_space_at >= 0:
-            if out:  # no leading space
-                out.append(" ")
-                omap.append(pending_space_at)
-            pending_space_at = -1
-        out.append(ch.lower())
-        omap.append(i)
-    at = raw.find("İ")  # the one code point that lowers to two characters
+    text = raw.replace("'", "").replace("’", "")
+    for hyphen in _HYPHENS:
+        text = text.replace(hyphen, " ")
+    return " ".join(text.split()).replace("Σ", "σ").lower(), _offset_map(raw)
+
+
+def _offset_map(raw: str) -> tuple[tuple[int, int], ...]:
+    """Breakpoints of normalize's offset map. Python runs once per gap that
+    is not a lone separator and once per wide character."""
+    start = len(raw) - len(raw.lstrip(_GAP))
+    stop = len(raw.rstrip(_GAP))
+    hits = [m.start() for m in _IRREGULAR.finditer(raw, start, stop)]
+    at = raw.find("  ", start, stop)
     while at != -1:
-        omap.insert(bisect_left(omap, at), at)
-        at = raw.find("İ", at + 1)
-    return "".join(out), tuple(omap)
+        hits.append(at)
+        at = raw.find("  ", _GAP_RUN.match(raw, at).end(), stop)
+    omap = [(0, start)]
+    gap_end = 0
+    for at in sorted(hits):
+        if at < gap_end:
+            continue  # inside a gap already mapped
+        n0, r0 = omap[-1]
+        wide = _WIDE.get(raw[at])
+        if wide:
+            n = at - r0 + n0
+            omap.extend((n + k, at) for k in range(1, len(wide)))
+            continue
+        # the gap's first character is the one before `at` only if that is
+        # a lone space: a double space is itself a hit
+        gap_start = at - 1 if raw[at - 1] == " " else at
+        gap_end = _GAP_RUN.match(raw, at).end()
+        n = gap_start - r0 + n0
+        separators = raw[gap_start:gap_end].lstrip(_APOSTROPHES)
+        if separators:  # a space at n from the first separator, then the next word
+            points = ((n, gap_end - len(separators)), (n + 1, gap_end))
+        else:  # apostrophes alone vanish
+            points = ((n, gap_end),)
+        for n, r in points:
+            n0, r0 = omap[-1]
+            if r - n != r0 - n0:
+                omap.append((n, r))
+    return tuple(omap)
+
+
+def raw_index(offset_map: tuple[tuple[int, int], ...], i: int) -> int:
+    """Raw index of normalized character i under normalize's offset map."""
+    n, r = offset_map[bisect_right(offset_map, (i, math.inf)) - 1]
+    return r + i - n
 
 
 def word_count_of(normalized: str) -> int:
-    """Number of maximal non-space runs."""
-    return len(normalized.split())
+    """Number of maximal non-space runs; normalized text has single inner
+    spaces and none at its edges."""
+    return normalized.count(" ") + 1 if normalized else 0
 
 
 def make_document(meta: SourceMeta, raw: str) -> DocumentText:

@@ -5,6 +5,7 @@ from .ingest import (
     STATUS_SKIPPED_SHORT,
     DocumentText,
     Region,
+    raw_index,
 )
 from .matching import EvidenceMatch
 from .scoring import VERDICT_NONE, AnalyzerEvidence, TagSummary, match_order
@@ -13,9 +14,9 @@ CONTEXT_CHARS = 120
 
 
 def _raw_span(doc: DocumentText, span: Region) -> tuple[int, int]:
-    if span.end <= span.start or not doc.offset_map:
+    if span.end <= span.start:
         return (0, 0)
-    return (doc.offset_map[span.start], doc.offset_map[span.end - 1] + 1)
+    return (raw_index(doc.offset_map, span.start), raw_index(doc.offset_map, span.end - 1) + 1)
 
 
 def _clean(text: str) -> str:

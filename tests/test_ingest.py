@@ -1,11 +1,13 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import filler, make_doc
 from litscan.ingest import (
+    _OTHER_SPACES,
     STATUS_ANALYZED,
     STATUS_SKIPPED_SHORT,
     Region,
@@ -15,27 +17,57 @@ from litscan.ingest import (
     make_document,
     normalize,
     prefix_region,
+    raw_index,
     word_count_of,
 )
 
-# alphabet exercising every normalization rule plus plain unicode, and 'İ',
-# which lowercases to two characters
-RAW_ALPHABET = "abcXYZİ αβ.,;0123'’-‐\n\r\t  "
+# pieces exercising every normalization rule plus plain unicode: 'İ', which
+# lowercases to two characters; 'Σ', which str.lower() lowers by context;
+# non-ASCII spaces; and runs of separators and apostrophes
+RAW_ALPHABET = list("abcXYZİΣ αβ.,;0123'’-‐‑\n\r\t\x0c\xa0\u2003") + ["  ", " \n", "-\n", "' ", " - "]
 
-raw_text = st.text(alphabet=st.sampled_from(list(RAW_ALPHABET)), max_size=300)
+raw_text = st.lists(st.sampled_from(RAW_ALPHABET), max_size=150).map("".join)
+
+
+def oracle_normalize(raw: str) -> tuple[str, list[int]]:
+    """Reference per-character loop: the normalized text and, for each of its
+    characters, the raw index it derives from."""
+    out: list[str] = []
+    omap: list[int] = []
+    pending_space_at = -1  # raw index of the first separator of a pending gap
+    for i, ch in enumerate(raw):
+        if ch in "'’":
+            continue
+        if ch in "-‐‑" or ch.isspace():
+            if pending_space_at < 0:
+                pending_space_at = i
+            continue
+        if pending_space_at >= 0:
+            if out:  # no leading space
+                out.append(" ")
+                omap.append(pending_space_at)
+            pending_space_at = -1
+        for lowered in ch.lower():
+            out.append(lowered)
+            omap.append(i)
+    return "".join(out), omap
+
+
+def raw_indices(omap, length: int) -> list[int]:
+    return [raw_index(omap, i) for i in range(length)]
 
 
 def test_dehyphenated_line_break_joins_as_space():
     normalized, omap = normalize("Mann-\nWhitney")
     assert normalized == "mann whitney"
     # the 'w' links back to its raw position
-    assert omap[normalized.index("w")] == 6
+    assert raw_index(omap, normalized.index("w")) == 6
     # the joining space derives from the hyphen that started the run
-    assert omap[normalized.index(" ")] == 4
+    assert raw_index(omap, normalized.index(" ")) == 4
 
 
 def test_empty_input():
-    assert normalize("") == ("", ())
+    assert normalize("") == ("", ((0, 0),))
 
 
 def test_apostrophe_whitespace_hyphen_rules():
@@ -53,12 +85,31 @@ def test_typographic_apostrophe_removed():
     assert normalize("Student’s")[0] == "students"
 
 
+def test_capital_sigma_lowers_alike_everywhere():
+    assert normalize("ΟΔΟΣ ΣΑ")[0] == "οδοσ σα"
+
+
+@given(raw_text)
+@settings(max_examples=300)
+def test_normalize_equals_per_character_oracle(raw):
+    normalized, omap = normalize(raw)
+    expected, expected_map = oracle_normalize(raw)
+    assert normalized == expected
+    assert raw_indices(omap, len(normalized)) == expected_map
+
+
+def test_other_spaces_literal_is_every_nonspace_whitespace():
+    whitespace = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(_OTHER_SPACES) == whitespace - {" "}
+    assert len(_OTHER_SPACES) == 28
+
+
 @given(raw_text)
 def test_normalize_idempotent(raw):
     normalized, _ = normalize(raw)
     again, omap = normalize(normalized)
     assert again == normalized
-    assert omap == tuple(range(len(normalized)))
+    assert omap == ((0, 0),)  # the identity
 
 
 @given(raw_text)
@@ -66,16 +117,18 @@ def test_normalized_shape_invariants(raw):
     normalized, omap = normalize(raw)
     assert "\n" not in normalized and "\r" not in normalized and "\t" not in normalized
     assert "  " not in normalized
-    assert len(omap) == len(normalized)
-    assert all(b >= a for a, b in zip(omap, omap[1:]))
-    assert all(0 <= i < len(raw) for i in omap)
+    assert omap[0][0] == 0
+    assert all(a[0] < b[0] for a, b in zip(omap, omap[1:]))
+    indices = raw_indices(omap, len(normalized))  # total: every index is in raw
+    assert all(0 <= i < len(raw) for i in indices)
+    assert all(b >= a for a, b in zip(indices, indices[1:]))
 
 
 @given(raw_text)
 def test_offset_map_consistent_with_source(raw):
     normalized, omap = normalize(raw)
     for i, ch in enumerate(normalized):
-        src = raw[omap[i]]
+        src = raw[raw_index(omap, i)]
         if ch == " ":
             assert src.isspace() or src in "-‐‑"
         else:
