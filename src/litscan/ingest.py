@@ -2,9 +2,9 @@
 gate out short texts, and carve out prefix regions.
 
 Normalization neutralizes the noise PDF extraction leaves behind (line breaks
-inside hyphenated words, unstable whitespace, apostrophe variants) while
-keeping an offset map back to the raw text so report snippets can show the
-original context. The map is piecewise linear: a short tuple of
+inside hyphenated words, unstable whitespace, apostrophe variants, soft
+hyphens, Latin ligatures) while keeping an offset map back to the raw text so
+report snippets can show the original context. The map is piecewise linear: a short tuple of
 (norm_start, raw_start) breakpoints, one wherever the linear correspondence
 breaks, read with `raw_index`.
 """
@@ -28,7 +28,8 @@ STATUS_EXCLUDED_SECONDARY = "excluded_secondary"
 
 DEFAULT_SHORT_THRESHOLD = 4000
 
-_APOSTROPHES = "'’"
+# apostrophes (straight and typographic), soft hyphen, zero-width space
+_DROPPED = "'’\xad\u200b"
 _HYPHENS = "-‐‑"
 # every code point str.isspace() accepts except " "; str.split() splits on
 # the same set. A literal, because scanning Unicode costs import time.
@@ -37,19 +38,19 @@ _OTHER_SPACES = (
     "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
 # separators and dropped characters; a maximal run of them is a gap
-_GAP = " " + _OTHER_SPACES + _HYPHENS + _APOSTROPHES
-# characters that normalize to more than one character
-_WIDE = {"İ": "İ".lower()}
+_GAP = " " + _OTHER_SPACES + _HYPHENS + _DROPPED
+# U+FB00-U+FB06, each with its NFKC form
+_LIGATURES = {"ﬀ": "ff", "ﬁ": "fi", "ﬂ": "fl", "ﬃ": "ffi", "ﬄ": "ffl", "ﬅ": "st", "ﬆ": "st"}
 _GAP_RUN = re.compile(f"[{re.escape(_GAP)}]+")
 # Where the offset map can break, apart from double spaces (str.find): every
-# apostrophe and wide character, and every separator other than " " with a
+# dropped character and ligature, and every separator other than " " with a
 # gap character next to it. A lone separator between two words maps one to
 # one. The pattern opens with one character class, which lets the regex
 # engine skip plain text at C speed; the lookarounds drop lone separators.
 _IRREGULAR = re.compile(
     "[{irregular}](?:(?<=[{always}])|(?<=[{gap}][{irregular}])|(?=[{gap}]))".format(
-        irregular=re.escape(_OTHER_SPACES + _HYPHENS + _APOSTROPHES + "".join(_WIDE)),
-        always=re.escape(_APOSTROPHES + "".join(_WIDE)),
+        irregular=re.escape(_OTHER_SPACES + _HYPHENS + _DROPPED + "".join(_LIGATURES)),
+        always=re.escape(_DROPPED + "".join(_LIGATURES)),
         gap=re.escape(_GAP),
     )
 )
@@ -90,28 +91,37 @@ def normalize(raw: str) -> tuple[str, tuple[tuple[int, int], ...]]:
       1. a line break between "letter-" and a letter is removed (the word was
          split across lines); the hyphen itself then falls under rule 5
       2. every whitespace run collapses to a single space
-      3. letters are lowercased, each on its own ('Σ' always gives 'σ')
-      4. apostrophes (straight and typographic) are removed
+      3. letters are lowercased, each on its own ('Σ' always gives 'σ'), and
+         'İ' gives a plain 'i'
+      4. apostrophes (straight and typographic), soft hyphens and zero-width
+         spaces are removed
       5. every hyphen becomes a space (then collapses with neighbours)
+      6. the Latin ligatures U+FB00-U+FB06 expand to their letters ('ﬁ' to
+         'fi')
     Leading and trailing whitespace is dropped.
 
     offset_map holds (norm_start, raw_start) breakpoints, sorted, the first
     at norm_start 0; raw_index(offset_map, i) is the raw index of the
-    character normalized[i] derives from. A collapsed space maps to the
-    first separator of the run it replaces, and both characters of a lowered
-    'İ' map to the 'İ'. The map is non-decreasing, and normalize is
-    idempotent (re-normalizing yields the same text and the identity map,
+    character normalized[i] derives from, raw_start + i - norm_start under
+    the last breakpoint at or before i. A collapsed space maps to the first
+    separator of the run it replaces, and every letter of an expanded
+    ligature maps to the ligature. The map is non-decreasing, and normalize
+    is idempotent (re-normalizing yields the same text and the identity map,
     ((0, 0),)).
     """
-    text = raw.replace("'", "").replace("’", "")
+    text = raw
+    for dropped in _DROPPED:
+        text = text.replace(dropped, "")
     for hyphen in _HYPHENS:
         text = text.replace(hyphen, " ")
-    return " ".join(text.split()).replace("Σ", "σ").lower(), _offset_map(raw)
+    for ligature, letters in _LIGATURES.items():
+        text = text.replace(ligature, letters)
+    return " ".join(text.split()).replace("İ", "i").replace("Σ", "σ").lower(), _offset_map(raw)
 
 
 def _offset_map(raw: str) -> tuple[tuple[int, int], ...]:
     """Breakpoints of normalize's offset map. Python runs once per gap that
-    is not a lone separator and once per wide character."""
+    is not a lone separator and once per ligature."""
     start = len(raw) - len(raw.lstrip(_GAP))
     stop = len(raw.rstrip(_GAP))
     hits = [m.start() for m in _IRREGULAR.finditer(raw, start, stop)]
@@ -125,20 +135,20 @@ def _offset_map(raw: str) -> tuple[tuple[int, int], ...]:
         if at < gap_end:
             continue  # inside a gap already mapped
         n0, r0 = omap[-1]
-        wide = _WIDE.get(raw[at])
-        if wide:
+        letters = _LIGATURES.get(raw[at])
+        if letters:
             n = at - r0 + n0
-            omap.extend((n + k, at) for k in range(1, len(wide)))
+            omap.extend((n + k, at) for k in range(1, len(letters)))
             continue
         # the gap's first character is the one before `at` only if that is
         # a lone space: a double space is itself a hit
         gap_start = at - 1 if raw[at - 1] == " " else at
         gap_end = _GAP_RUN.match(raw, at).end()
         n = gap_start - r0 + n0
-        separators = raw[gap_start:gap_end].lstrip(_APOSTROPHES)
+        separators = raw[gap_start:gap_end].lstrip(_DROPPED)
         if separators:  # a space at n from the first separator, then the next word
             points = ((n, gap_end - len(separators)), (n + 1, gap_end))
-        else:  # apostrophes alone vanish
+        else:  # dropped characters alone vanish
             points = ((n, gap_end),)
         for n, r in points:
             n0, r0 = omap[-1]

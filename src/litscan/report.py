@@ -19,8 +19,13 @@ def _raw_span(doc: DocumentText, span: Region) -> tuple[int, int]:
     return (raw_index(doc.offset_map, span.start), raw_index(doc.offset_map, span.end - 1) + 1)
 
 
+# tab and every character str.splitlines() breaks on, pdftotext's form feed
+# among them: each becomes a space, so an evidence line stays one line
+_LINE_BREAKS = str.maketrans(dict.fromkeys("\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
 def _clean(text: str) -> str:
-    return text.replace("\r", " ").replace("\n", " ").replace("\t", " ")
+    return text.translate(_LINE_BREAKS)
 
 
 def snippet(doc: DocumentText, span: Region, context: int = CONTEXT_CHARS) -> str:

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 from pathlib import Path
 
 from conftest import ANALYZER_DIR, filler, make_doc
@@ -57,6 +58,18 @@ def test_classify_paper_reports_evidence(bundle):
     assert "»" in report and "«" in report
     assert "supports: [used]" in report
     assert "skipped by" in report  # the unit-tests trap shows up separately
+
+
+def test_report_keeps_evidence_lines_whole_across_line_breaks(bundle):
+    breaks = "".join(chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) > 1)
+    assert "\x0c" in breaks  # pdftotext's page break
+    words = filler(4500)
+    words[200:200] = ["We", f"used{breaks}a", "Student's", f"t{breaks}test", f"and{breaks}so", "on"]
+    result, report = classify_paper(make_doc(" ".join(words)), bundle, RunConfig())
+    assert result.tag_verdicts["parametric_test"] == "positive"
+    evidence = [line for line in report.splitlines() if "»" in line]
+    assert evidence and all("«" in line for line in evidence)
+    assert any(line.endswith("supports: [used]") for line in evidence)
 
 
 def test_emit_csv_worked_row_ordering():

@@ -1,5 +1,6 @@
 import math
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,10 @@ from litscan.ingest import (
 )
 
 # pieces exercising every normalization rule plus plain unicode: 'İ', which
-# lowercases to two characters; 'Σ', which str.lower() lowers by context;
-# non-ASCII spaces; and runs of separators and apostrophes
-RAW_ALPHABET = list("abcXYZİΣ αβ.,;0123'’-‐‑\n\r\t\x0c\xa0\u2003") + ["  ", " \n", "-\n", "' ", " - "]
+# str.lower() lowers to two characters; 'Σ', which it lowers by context;
+# ligatures, soft hyphen and zero-width space from PDF extraction; non-ASCII
+# spaces; and runs of separators and dropped characters
+RAW_ALPHABET = list("abcXYZİΣ αβ.,;0123'’-‐‑\n\r\t\x0c\xa0\u2003ﬁﬃﬆ\xad\u200b") + ["  ", " \n", "-\n", "' ", " - "]
 
 raw_text = st.lists(st.sampled_from(RAW_ALPHABET), max_size=150).map("".join)
 
@@ -36,7 +38,7 @@ def oracle_normalize(raw: str) -> tuple[str, list[int]]:
     omap: list[int] = []
     pending_space_at = -1  # raw index of the first separator of a pending gap
     for i, ch in enumerate(raw):
-        if ch in "'’":
+        if ch in "'’\xad\u200b":
             continue
         if ch in "-‐‑" or ch.isspace():
             if pending_space_at < 0:
@@ -47,6 +49,10 @@ def oracle_normalize(raw: str) -> tuple[str, list[int]]:
                 out.append(" ")
                 omap.append(pending_space_at)
             pending_space_at = -1
+        if ch == "İ":
+            ch = "i"
+        elif "\ufb00" <= ch <= "\ufb06":
+            ch = unicodedata.normalize("NFKC", ch)
         for lowered in ch.lower():
             out.append(lowered)
             omap.append(i)
@@ -89,6 +95,14 @@ def test_capital_sigma_lowers_alike_everywhere():
     assert normalize("ΟΔΟΣ ΣΑ")[0] == "οδοσ σα"
 
 
+def test_pdf_noise_folds():
+    normalized, omap = normalize("Conﬁdence in\xadter\u200bval, İSTANBUL")
+    assert normalized == "confidence interval, istanbul"
+    # both letters of the ligature map to it
+    assert [raw_index(omap, i) for i in (2, 3, 4, 5)] == [2, 3, 3, 4]
+    assert raw_index(omap, normalized.index("val")) == 17
+
+
 @given(raw_text)
 @settings(max_examples=300)
 def test_normalize_equals_per_character_oracle(raw):
@@ -102,6 +116,11 @@ def test_other_spaces_literal_is_every_nonspace_whitespace():
     whitespace = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
     assert set(_OTHER_SPACES) == whitespace - {" "}
     assert len(_OTHER_SPACES) == 28
+
+
+def test_only_dotted_capital_i_lowers_to_more_than_one_character():
+    # the offset map counts on every other character lowering to one
+    assert [c for c in range(sys.maxunicode + 1) if len(chr(c).lower()) != 1] == [ord("İ")]
 
 
 @given(raw_text)
@@ -132,7 +151,7 @@ def test_offset_map_consistent_with_source(raw):
         if ch == " ":
             assert src.isspace() or src in "-‐‑"
         else:
-            assert ch in src.lower()
+            assert ch in unicodedata.normalize("NFKC", src).lower()
 
 
 @given(raw_text)
