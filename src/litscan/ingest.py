@@ -4,9 +4,9 @@ gate out short texts, and carve out prefix regions.
 Normalization neutralizes the noise PDF extraction leaves behind (line breaks
 inside hyphenated words, unstable whitespace, apostrophe variants, soft
 hyphens, Latin ligatures) while keeping an offset map back to the raw text so
-report snippets can show the original context. The map is piecewise linear: a short tuple of
-(norm_start, raw_start) breakpoints, one wherever the linear correspondence
-breaks, read with `raw_index`.
+report snippets can show the original context. The map is piecewise linear:
+a short tuple of (norm_start, raw_start) breakpoints, one wherever the
+one-to-one correspondence breaks, read with `raw_index`.
 """
 
 import csv
@@ -56,6 +56,10 @@ _IRREGULAR = re.compile(
 )
 
 
+# (norm_start, raw_start) breakpoints; see normalize
+OffsetMap = tuple[tuple[int, int], ...]
+
+
 class Region(NamedTuple):
     """Half-open [start, end) span in normalized-text coordinates."""
 
@@ -79,12 +83,12 @@ class DocumentText:
     meta: SourceMeta
     raw: str
     normalized: str
-    offset_map: tuple[tuple[int, int], ...]
+    offset_map: OffsetMap
     word_count: int
     status: str = STATUS_ANALYZED
 
 
-def normalize(raw: str) -> tuple[str, tuple[tuple[int, int], ...]]:
+def normalize(raw: str) -> tuple[str, OffsetMap]:
     """Normalize text for matching. Returns (normalized, offset_map).
 
     Rules:
@@ -119,7 +123,7 @@ def normalize(raw: str) -> tuple[str, tuple[tuple[int, int], ...]]:
     return " ".join(text.split()).replace("İ", "i").replace("Σ", "σ").lower(), _offset_map(raw)
 
 
-def _offset_map(raw: str) -> tuple[tuple[int, int], ...]:
+def _offset_map(raw: str) -> OffsetMap:
     """Breakpoints of normalize's offset map. Python runs once per gap that
     is not a lone separator and once per ligature."""
     start = len(raw) - len(raw.lstrip(_GAP))
@@ -157,7 +161,7 @@ def _offset_map(raw: str) -> tuple[tuple[int, int], ...]:
     return tuple(omap)
 
 
-def raw_index(offset_map: tuple[tuple[int, int], ...], i: int) -> int:
+def raw_index(offset_map: OffsetMap, i: int) -> int:
     """Raw index of normalized character i under normalize's offset map."""
     n, r = offset_map[bisect_right(offset_map, (i, math.inf)) - 1]
     return r + i - n
