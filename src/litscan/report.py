@@ -21,11 +21,14 @@ def _raw_span(doc: DocumentText, span: Region) -> tuple[int, int]:
 
 # tab and every character str.splitlines() breaks on, pdftotext's form feed
 # among them: each becomes a space, so an evidence line stays one line
-_LINE_BREAKS = str.maketrans(dict.fromkeys("\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029", " "))
+# (str.replace, as str.translate is 30 times slower on non-ASCII snippets)
+_LINE_BREAKS = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _clean(text: str) -> str:
-    return text.translate(_LINE_BREAKS)
+    for ch in _LINE_BREAKS:
+        text = text.replace(ch, " ")
+    return text
 
 
 def snippet(doc: DocumentText, span: Region, context: int = CONTEXT_CHARS) -> str:
