@@ -22,7 +22,7 @@ from .ingest import (
     gate_short,
     load_document,
 )
-from .matching import MatchConfig, run_analyzer
+from .matching import MatchConfig, run_analyzer, scan_pieces
 from .report import render_report
 from .scoring import (
     VERDICT_NONE,
@@ -78,17 +78,21 @@ def classify_paper(
     summaries: list[TagSummary] = []
     tag_verdicts: dict[str, str] = {}
     if doc.status == STATUS_ANALYZED:
+        # one piece scan per analyzer group, so an excluded paper's text past
+        # the exclusion regions is never scanned
         excluders = [s for s in bundle if s.mode == "exclude"]
+        starts = scan_pieces(doc, excluders, config.match)
         exclusion_evidence = [
-            resolve_analyzer(run_analyzer(doc, s, config.match), s) for s in excluders
+            resolve_analyzer(run_analyzer(doc, s, config.match, starts), s) for s in excluders
         ]
         if decide_exclusion(exclusion_evidence):
             doc = replace(doc, status=STATUS_EXCLUDED_SECONDARY)
             evidences = exclusion_evidence
         else:
             classifiers = [s for s in bundle if s.mode == "classify"]
+            starts = scan_pieces(doc, classifiers, config.match)
             class_evidence = [
-                resolve_analyzer(run_analyzer(doc, s, config.match), s) for s in classifiers
+                resolve_analyzer(run_analyzer(doc, s, config.match, starts), s) for s in classifiers
             ]
             summaries = aggregate_tags(class_evidence)
             tag_verdicts = {s.tag: s.verdict for s in summaries}

@@ -9,13 +9,21 @@ picks up misspellings and leftover line-break damage.
 The distance-1 search is pigeonhole-based: any substring within one edit of
 the term contains either the term's first half or its second half verbatim
 (shifted by at most one position), except for a transposition straddling the
-midpoint, which is searched for directly. Exact occurrences of those three
-strings (C-speed str.find) propose candidate starts. Each candidate is
-verified by a first-mismatch test: past the common prefix, what is left must
-be equal after one substitution, one insertion or deletion, or one adjacent
-swap.
+midpoint, which is searched for directly. A term that gets no edit budget is
+its own single piece. The exact occurrences of every piece of a group of
+analyzers are found together: the pieces are compiled once into one
+trie-shaped regex whose longest match at a position names every piece that
+starts there, and one search loop over the group's region records them all.
+Each piece start proposes a candidate, which is verified by a first-mismatch
+test: past the common prefix, what is left must be equal after one
+substitution, one insertion or deletion, or one adjacent swap.
 """
 
+import functools
+import re
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 from .dsl import AnalyzerSpec, SkipMatcher
@@ -28,6 +36,9 @@ DEFAULT_FUZZY_MIN_LEN = 8
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
+
+# piece -> its sorted start positions in a scanned range
+PieceStarts = dict[str, list[int]]
 
 
 @dataclass(frozen=True)
@@ -114,13 +125,84 @@ def _one_edit_distance(a: str, b: str) -> int:
     return 1 if same else 2
 
 
-def _exact_spans(text: str, lo: int, hi: int, term: str) -> list[int]:
-    starts = []
-    i = text.find(term, lo, hi)
-    while i != -1:
-        starts.append(i)
-        i = text.find(term, i + 1, hi)
-    return starts
+def term_pieces(term: str, max_edits: int, fuzzy_min_len: int) -> tuple[str, ...]:
+    """The strings whose exact occurrences propose `find_term`'s candidates:
+    (term,) when the term gets no edit budget, else its first half, its
+    second half and the term with the two characters around the midpoint
+    swapped."""
+    length = len(term)
+    if max_edits < 1 or length < max(fuzzy_min_len, 2):
+        return (term,)
+    mid = length // 2
+    return term[:mid], term[mid:], term[: mid - 1] + term[mid] + term[mid - 1] + term[mid + 1 :]
+
+
+def _trie_pattern(pieces: set[str]) -> str:
+    """A regex alternation nested by shared prefix. At every node the text
+    picks at most one branch, and a node where a piece ends is an optional
+    group tried first, so the match at a position is the longest piece that
+    starts there."""
+    trie: dict = {}
+    for piece in pieces:
+        node = trie
+        for ch in piece:
+            node = node.setdefault(ch, {})
+        node[""] = {}  # a piece ends here
+
+    def alternation(node: dict) -> str:
+        branches = [re.escape(ch) + alternation(child) for ch, child in sorted(node.items()) if ch]
+        if "" in node:
+            return f"(?:{'|'.join(branches)})?" if branches else ""
+        return branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
+
+    return alternation(trie)
+
+
+class PieceScanner:
+    """Finds every start of a fixed set of pieces in one regex search loop,
+    overlapping starts included."""
+
+    def __init__(self, pieces: Iterable[str]):
+        pieces = set(pieces)
+        self._pattern = re.compile(_trie_pattern(pieces)) if pieces else None
+        # a hit on the longest piece at a position is a hit on each piece that is its prefix
+        self._prefixes = {
+            p: tuple(p[:i] for i in range(1, len(p) + 1) if p[:i] in pieces) for p in pieces
+        }
+
+    def scan(self, text: str, lo: int, hi: int) -> PieceStarts:
+        """The starts of every piece lying wholly inside text[lo:hi]."""
+        starts: PieceStarts = defaultdict(list)
+        if self._pattern is None:
+            return starts
+        search, prefixes = self._pattern.search, self._prefixes
+        m = search(text, lo, hi)
+        while m:
+            s = m.start()
+            for piece in prefixes[m.group()]:
+                starts[piece].append(s)
+            m = search(text, s + 1, hi)
+        return starts
+
+
+@functools.lru_cache(maxsize=128)
+def _group_scanner(specs: tuple[AnalyzerSpec, ...], max_edits: int, fuzzy_min_len: int) -> PieceScanner:
+    return PieceScanner(
+        piece
+        for spec in specs
+        for example in spec.positives + spec.negatives
+        for term in spec.candidate_terms(example)
+        for piece in term_pieces(term, max_edits, fuzzy_min_len)
+    )
+
+
+def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], config: MatchConfig) -> PieceStarts:
+    """The starts of every piece of the analyzers' terms, in one pass over
+    the furthest of their regions. The scanner is built on the first call for
+    a given group and config, and reused after."""
+    end = max((prefix_region(doc, spec.region_fraction).end for spec in specs), default=0)
+    scanner = _group_scanner(tuple(specs), config.max_edits, config.fuzzy_min_len)
+    return scanner.scan(doc.normalized, 0, end)
 
 
 def find_term(
@@ -129,10 +211,15 @@ def find_term(
     term: str,
     max_edits: int,
     fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LEN,
+    piece_starts: PieceStarts | None = None,
 ) -> list[Region]:
     """All spans inside `region` whose substring is within edit distance E of
     `term`, where E = 1 when the term is fuzzy-eligible and max_edits allows
     it, else 0.
+
+    `piece_starts` holds the starts of the term's pieces (`term_pieces`) in
+    a range covering `region`, as `scan_pieces` gives them for a group of
+    analyzers; without it the term's own pieces are scanned for.
 
     One occurrence is reported once: candidates sharing a start position keep
     the closest (then longest) span, and a span overlapped by a strictly
@@ -143,19 +230,25 @@ def find_term(
     if not term:
         raise ValueError("term must be non-empty")
     lo, hi = max(region.start, 0), min(region.end, len(text))
-    length = len(term)
-    fuzzy = max_edits >= 1 and length >= max(fuzzy_min_len, 2)
-    if not fuzzy:
-        return [Region(s, s + length) for s in _exact_spans(text, lo, hi, term)]
+    pieces = term_pieces(term, max_edits, fuzzy_min_len)
+    if piece_starts is None:
+        piece_starts = PieceScanner(pieces).scan(text, lo, hi)
 
-    mid = length // 2
+    def starts(piece: str) -> list[int]:
+        found = piece_starts.get(piece, [])
+        return found[bisect_left(found, lo) : bisect_right(found, hi - len(piece))]
+
+    length = len(term)
+    if len(pieces) == 1:
+        return [Region(s, s + length) for s in starts(term)]
+
+    first, second, swapped = pieces
     candidates: set[int] = set()
-    for off, piece in ((0, term[:mid]), (mid, term[mid:])):
-        for q in _exact_spans(text, lo, hi, piece):
+    for off, piece in ((0, first), (len(first), second)):
+        for q in starts(piece):
             s0 = q - off
             candidates.update((s0 - 1, s0, s0 + 1))
-    swapped = term[: mid - 1] + term[mid] + term[mid - 1] + term[mid + 1 :]
-    candidates.update(_exact_spans(text, lo, hi, swapped))
+    candidates.update(starts(swapped))
     found: list[tuple[int, int, int]] = []  # (start, length, distance)
     for s in sorted(candidates):
         if s < lo:
@@ -239,12 +332,15 @@ def run_analyzer(
     doc: DocumentText,
     spec: AnalyzerSpec,
     config: MatchConfig,
+    piece_starts: PieceStarts | None = None,
 ) -> list[EvidenceMatch]:
     """Locate all evidence one analyzer finds in a document.
 
     For every example, every candidate term (primary plus synonyms) is
     searched inside the analyzer's region; a term shared by several examples
-    is searched once per call. One stretch of text is one piece
+    is searched once per call. `piece_starts` comes from `scan_pieces` over a
+    group of analyzers that includes this one; without it the analyzer's own
+    pieces are scanned for. One stretch of text is one piece
     of evidence: a span contained in a longer span from the same example's
     term set is dropped, so "t test" inside an occurrence of "students t
     test" does not double-count. Positives gain supporting matches and pass
@@ -253,6 +349,8 @@ def run_analyzer(
     """
     region = prefix_region(doc, spec.region_fraction)
     text = doc.normalized
+    if piece_starts is None:
+        piece_starts = scan_pieces(doc, (spec,), config)
     spans_of: dict[str, list[Region]] = {}
     matches: list[EvidenceMatch] = []
     for polarity, examples in ((POSITIVE, spec.positives), (NEGATIVE, spec.negatives)):
@@ -262,7 +360,7 @@ def run_analyzer(
                 spans = spans_of.get(term)
                 if spans is None:
                     spans = spans_of[term] = find_term(
-                        text, region, term, config.max_edits, config.fuzzy_min_len
+                        text, region, term, config.max_edits, config.fuzzy_min_len, piece_starts
                     )
                 for span in spans:
                     by_span.setdefault(span, term)

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 from conftest import ANALYZER_DIR, filler, make_doc
-from litscan import corpus
+from litscan import corpus, matching
 from litscan.cli import main
 from litscan.corpus import (
     CorpusResult,
@@ -16,7 +16,7 @@ from litscan.corpus import (
     run_corpus,
     tag_universe,
 )
-from litscan.ingest import SourceMeta, load_manifest
+from litscan.ingest import SourceMeta, load_manifest, prefix_region
 
 
 def _result(pid, journal, year, status="analyzed", verdicts=None, words=5000):
@@ -46,6 +46,36 @@ def test_classify_paper_secondary_exclusion(bundle):
     assert result.tag_verdicts == {}
     assert result.per_analyzer.get("secondary_study") == "positive"
     assert "excluded" in report
+
+
+def _scanned_ranges(monkeypatch) -> list[tuple[int, int]]:
+    ranges = []
+    real = matching.PieceScanner.scan
+
+    def scan(self, text, lo, hi):
+        ranges.append((lo, hi))
+        return real(self, text, lo, hi)
+
+    monkeypatch.setattr(matching.PieceScanner, "scan", scan)
+    return ranges
+
+
+def test_exclusion_pass_scans_only_the_exclusion_region(bundle, monkeypatch):
+    (fraction,) = {s.region_fraction for s in bundle if s.mode == "exclude"}
+    ranges = _scanned_ranges(monkeypatch)
+    words = filler(5000)
+    words[10:10] = "we present a systematic mapping study of research on testing".split()
+    doc = make_doc(" ".join(words))
+    result, _ = classify_paper(doc, bundle, RunConfig())
+    assert result.status == "excluded_secondary"
+    assert ranges == [(0, prefix_region(doc, fraction).end)]
+    assert 0 < ranges[0][1] < len(doc.normalized) / 10
+
+    ranges.clear()
+    doc = make_doc(" ".join(filler(5000)))
+    result, _ = classify_paper(doc, bundle, RunConfig())
+    assert result.status == "analyzed"
+    assert ranges == [(0, prefix_region(doc, fraction).end), (0, len(doc.normalized))]
 
 
 def test_classify_paper_reports_evidence(bundle):

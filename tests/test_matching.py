@@ -11,12 +11,14 @@ from litscan.dsl import parse_skip_matcher
 from litscan.ingest import Region
 from litscan.matching import (
     EvidenceMatch,
+    PieceScanner,
     _one_edit_distance,
     apply_skips,
     find_supports,
     find_term,
     osa_distance,
     run_analyzer,
+    term_pieces,
 )
 from litscan.scoring import resolve_analyzer
 
@@ -73,6 +75,17 @@ def oracle_find(text: str, region: Region, term: str, max_edits: int, fuzzy_min_
         for s, ln, d in found
         if not any(od < d and os < s + ln and os + oln > s for os, oln, od in found)
     ]
+
+
+def exact_starts(text: str, lo: int, hi: int, piece: str) -> list[int]:
+    """Every start of `piece` lying wholly inside text[lo:hi], one str.find
+    pass per piece."""
+    starts = []
+    i = text.find(piece, lo, hi)
+    while i != -1:
+        starts.append(i)
+        i = text.find(piece, i + 1, hi)
+    return starts
 
 
 # --- find_term --------------------------------------------------------------
@@ -162,6 +175,73 @@ def test_fuzzy_oracle_agreement_on_subregions(text, term, a, b):
     got = find_term(text, region, term, max_edits=1)
     assert got == oracle_find(text, region, term, 1)
     assert all(s.start >= lo and s.end <= hi for s in got)
+
+
+# --- shared piece scan ------------------------------------------------------
+
+
+def _pieces_of(terms, max_edits, fuzzy_min_len):
+    return {p for t in terms for p in term_pieces(t, max_edits, fuzzy_min_len)}
+
+
+def _assert_scan_equals_oracle(text, lo, hi, pieces):
+    got = PieceScanner(pieces).scan(text, lo, hi)
+    for piece in pieces:
+        assert got.get(piece, []) == exact_starts(text, lo, hi, piece), piece
+    assert set(got) <= set(pieces)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    norm_text,
+    st.lists(norm_term, min_size=1, max_size=5),
+    st.integers(0, 80),
+    st.integers(0, 80),
+    st.sampled_from([0, 1]),
+    st.sampled_from([2, 5, 8]),
+)
+def test_shared_scan_equals_single_term_search_and_oracle(text, terms, a, b, max_edits, fuzzy_min_len):
+    # over "ab " one piece is often a prefix of another, so hits fan out
+    lo, hi = sorted((min(a, len(text)), min(b, len(text))))
+    region = Region(lo, hi)
+    shared = _assert_scan_equals_oracle(text, 0, len(text), _pieces_of(terms, max_edits, fuzzy_min_len))
+    for term in terms:
+        alone = find_term(text, region, term, max_edits, fuzzy_min_len)
+        assert find_term(text, region, term, max_edits, fuzzy_min_len, shared) == alone
+        assert alone == oracle_find(text, region, term, max_edits, fuzzy_min_len)
+
+
+def test_shared_scan_escapes_regex_metacharacters():
+    terms = ["p.value", "a+b", "f(x)", "back\\slash", "cost $5", "mean (sd) + 1.5$"]
+    text = (
+        "pxvalue aab f(x) backslash cost $5 p.value a+b back\\slash mean (sd) + 1.5$ "
+        "mean (sd) + 1,5$ f(x)) meann (sd) + 1.5$"
+    )
+    pieces = _pieces_of(terms, 1, 8)
+    shared = _assert_scan_equals_oracle(text, 0, len(text), pieces)
+    region = Region(0, len(text))
+    for term in terms:
+        got = find_term(text, region, term, 1, 8, shared)
+        assert got == oracle_find(text, region, term, 1, 8)
+        assert got, term  # every term occurs at least once
+    # unescaped, "." and "+" would also match "pxvalue" and "aab"
+    assert [text[s:e] for s, e in find_term(text, region, "p.value", 1, 8, shared)] == ["p.value"]
+    assert [text[s:e] for s, e in find_term(text, region, "a+b", 1, 8, shared)] == ["a+b"]
+
+
+def test_scan_end_cuts_off_a_longer_piece_but_keeps_its_prefix():
+    text = "xx abcd abcd"
+    scanner = PieceScanner(["ab", "abcd", "bc"])
+    assert scanner.scan(text, 0, 6) == {"ab": [3], "bc": [4]}
+    assert scanner.scan(text, 0, 7) == {"ab": [3], "abcd": [3], "bc": [4]}
+    assert scanner.scan(text, 4, len(text)) == {"ab": [8], "abcd": [8], "bc": [4, 9]}
+    assert find_term(text, Region(0, 6), "ab", 0) == [Region(3, 5)]
+    assert find_term(text, Region(0, 6), "abcd", 0) == []
+
+
+def test_scanner_without_pieces_finds_nothing():
+    assert PieceScanner([]).scan("any text", 0, 8) == {}
 
 
 # --- find_supports ----------------------------------------------------------
