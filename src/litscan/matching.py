@@ -324,6 +324,22 @@ def apply_skips(
     return out
 
 
+def _contains(outer: Region, inner: Region) -> bool:
+    """True when `outer` covers `inner` and is longer."""
+    return outer.start <= inner.start and outer.end >= inner.end and outer.end - outer.start > inner.end - inner.start
+
+
+def _padded(outer: Region, inner: Region, exact: set[Region]) -> bool:
+    """True when `outer` is a one-edit span that is the exact span `inner`
+    plus one character at either end."""
+    return (
+        inner in exact
+        and outer not in exact
+        and _contains(outer, inner)
+        and outer.end - outer.start == inner.end - inner.start + 1
+    )
+
+
 def _polarity_key(polarity: str) -> int:
     return 0 if polarity == POSITIVE else 1
 
@@ -343,7 +359,10 @@ def run_analyzer(
     pieces are scanned for. One stretch of text is one piece
     of evidence: a span contained in a longer span from the same example's
     term set is dropped, so "t test" inside an occurrence of "students t
-    test" does not double-count. Positives gain supporting matches and pass
+    test" does not double-count. The exception is a one-edit span that only
+    adds one character to an exact span: the exact span is kept and the
+    one-edit span dropped, so in "the effect size of" the match is "effect
+    size", not "effect sizes" one edit from "effect size ". Positives gain supporting matches and pass
     through the skip matchers; negatives are kept only when all supports
     matched. Output is sorted by (polarity, span start, example index).
     """
@@ -364,13 +383,12 @@ def run_analyzer(
                     )
                 for span in spans:
                     by_span.setdefault(span, term)
+            exact = {span for span, term in by_span.items() if text[span.start : span.end] == term}
             kept = [
                 (span, term)
                 for span, term in by_span.items()
                 if not any(
-                    o.start <= span.start
-                    and o.end >= span.end
-                    and o.end - o.start > span.end - span.start
+                    (_contains(o, span) and not _padded(o, span, exact)) or _padded(span, o, exact)
                     for o in by_span
                 )
             ]

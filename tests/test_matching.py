@@ -401,6 +401,25 @@ def test_score_monotone_in_supports(by_name, match_config):
     assert score_supported >= score_bare + 1
 
 
+def test_exact_span_beats_a_one_edit_span_one_character_longer(by_name, match_config):
+    # "effect size " is one edit from the synonym "effect sizes"
+    doc = make_doc("the effect size of the treatment was large")
+    matches = run_analyzer(doc, by_name["effect_size"], match_config)
+    assert matches
+    for m in matches:
+        assert m.matched_term == "effect size"
+        assert m.span == Region(4, 15)
+        assert doc.normalized[m.span.start : m.span.end] == "effect size"
+
+
+def test_longer_one_edit_span_still_beats_an_exact_span_inside_it(by_name, match_config):
+    # exact "t test" inside a misspelt "students t test"
+    doc = make_doc("we used a stkdents t test here")
+    matches = run_analyzer(doc, by_name["students_t_test"], match_config)
+    assert matches
+    assert {(m.matched_term, m.span) for m in matches} == {("students t test", Region(10, 25))}
+
+
 def test_randomized_injections_agree_with_oracle():
     rng = random.Random(20240915)
     vocab = ["alpha", "beta", "gamma", "delta", "omega", "sigma", "theta", "kappa"]
