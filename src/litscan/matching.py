@@ -283,8 +283,8 @@ def find_supports(
     hi = min(len(text), primary_span.end + window)
     matched: list[tuple[str, Region]] = []
     for phrase in supports:
-        idx = text.find(phrase, lo)
-        if idx != -1 and idx < hi:
+        idx = text.find(phrase, lo, hi + len(phrase) - 1)  # only starts before hi
+        if idx != -1:
             matched.append((phrase, Region(idx, idx + len(phrase))))
     return matched
 

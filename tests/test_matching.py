@@ -284,6 +284,19 @@ def test_supports_search_before_and_after_span():
     assert [phrase for phrase, _ in got] == ["alpha", "omega"]
 
 
+@settings(max_examples=200)
+@given(norm_text, st.lists(norm_term, max_size=4, unique=True), st.integers(0, 80), st.integers(0, 20), st.integers(1, 30))
+def test_supports_are_first_occurrences_starting_in_the_window(text, supports, start, length, window):
+    span = Region(start, start + length)
+    lo, hi = max(0, span.start - window), min(len(text), span.end + window)
+    expected = []
+    for phrase in supports:
+        starts = [i for i in range(lo, hi) if text.startswith(phrase, i)]
+        if starts:
+            expected.append((phrase, Region(starts[0], starts[0] + len(phrase))))
+    assert find_supports(text, span, tuple(supports), window) == expected
+
+
 # --- apply_skips ------------------------------------------------------------
 
 SKIP = parse_skip_matcher(r'#RegexpMatcher(r"[a-zA-Z]{1}t(\s+|-)test"i)#')
