@@ -326,7 +326,11 @@ def apply_skips(
 
 def _contains(outer: Region, inner: Region) -> bool:
     """True when `outer` covers `inner` and is longer."""
-    return outer.start <= inner.start and outer.end >= inner.end and outer.end - outer.start > inner.end - inner.start
+    return (
+        outer.start <= inner.start
+        and outer.end >= inner.end
+        and outer.end - outer.start > inner.end - inner.start
+    )
 
 
 def _padded(outer: Region, inner: Region, exact: set[Region]) -> bool:
@@ -356,15 +360,17 @@ def run_analyzer(
     searched inside the analyzer's region; a term shared by several examples
     is searched once per call. `piece_starts` comes from `scan_pieces` over a
     group of analyzers that includes this one; without it the analyzer's own
-    pieces are scanned for. One stretch of text is one piece
-    of evidence: a span contained in a longer span from the same example's
-    term set is dropped, so "t test" inside an occurrence of "students t
-    test" does not double-count. The exception is a one-edit span that only
-    adds one character to an exact span: the exact span is kept and the
-    one-edit span dropped, so in "the effect size of" the match is "effect
-    size", not "effect sizes" one edit from "effect size ". Positives gain supporting matches and pass
-    through the skip matchers; negatives are kept only when all supports
-    matched. Output is sorted by (polarity, span start, example index).
+    pieces are scanned for.
+
+    One stretch of text is one piece of evidence: a span contained in a
+    longer span from the same example's term set is dropped, so "t test"
+    inside an occurrence of "students t test" does not double-count. The
+    exception is a one-edit span that only adds one character to an exact
+    span: the exact span is kept and the one-edit span dropped, so in "the
+    effect size of" the match is "effect size", not "effect sizes" one edit
+    from "effect size ". Positives gain supporting matches and pass through
+    the skip matchers; negatives are kept only when all supports matched.
+    Output is sorted by (polarity, span start, example index).
     """
     region = prefix_region(doc, spec.region_fraction)
     text = doc.normalized

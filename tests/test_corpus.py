@@ -48,7 +48,8 @@ def test_classify_paper_secondary_exclusion(bundle):
     assert "excluded" in report
 
 
-def _scanned_ranges(monkeypatch) -> list[tuple[int, int]]:
+def test_exclusion_pass_scans_only_the_exclusion_region(bundle, monkeypatch):
+    (fraction,) = {s.region_fraction for s in bundle if s.mode == "exclude"}
     ranges = []
     real = matching.PieceScanner.scan
 
@@ -57,12 +58,6 @@ def _scanned_ranges(monkeypatch) -> list[tuple[int, int]]:
         return real(self, text, lo, hi)
 
     monkeypatch.setattr(matching.PieceScanner, "scan", scan)
-    return ranges
-
-
-def test_exclusion_pass_scans_only_the_exclusion_region(bundle, monkeypatch):
-    (fraction,) = {s.region_fraction for s in bundle if s.mode == "exclude"}
-    ranges = _scanned_ranges(monkeypatch)
     words = filler(5000)
     words[10:10] = "we present a systematic mapping study of research on testing".split()
     doc = make_doc(" ".join(words))

@@ -285,7 +285,13 @@ def test_supports_search_before_and_after_span():
 
 
 @settings(max_examples=200)
-@given(norm_text, st.lists(norm_term, max_size=4, unique=True), st.integers(0, 80), st.integers(0, 20), st.integers(1, 30))
+@given(
+    norm_text,
+    st.lists(norm_term, max_size=4, unique=True),
+    st.integers(0, 80),
+    st.integers(0, 20),
+    st.integers(1, 30),
+)
 def test_supports_are_first_occurrences_starting_in_the_window(text, supports, start, length, window):
     span = Region(start, start + length)
     lo, hi = max(0, span.start - window), min(len(text), span.end + window)
