@@ -6,22 +6,23 @@ word boundaries, so skip matchers keep their job of cancelling matches like
 characters also match at restricted Damerau-Levenshtein distance 1, which
 picks up misspellings and leftover line-break damage.
 
-The distance-1 search is pigeonhole-based: any substring within one edit of
-the term contains either the term's first half or its second half verbatim
-(shifted by at most one position), except for a transposition straddling the
-midpoint, which is searched for directly. A term that gets no edit budget is
-its own single piece. The exact occurrences of every piece of a group of
-analyzers are found together: the pieces are compiled once into one
+The distance-1 search is pigeonhole-based: a substring within one edit of
+the term either starts with the term's first half (the edit lies after it),
+ends with the term's second half (the edit lies before it), or is the term
+with the two characters around the midpoint swapped, which is searched for
+directly. So each piece fixes where a span starts or ends, and its length is
+one of the term's length and one either side. A term that gets no edit
+budget is its own single piece. The exact occurrences of every piece of a
+group of analyzers are found together: the pieces are compiled once into one
 trie-shaped regex whose longest match at a position names every piece that
 starts there, and one search loop over the group's region records them all.
-Each piece start proposes a candidate, which is verified by a first-mismatch
-test: past the common prefix, what is left must be equal after one
-substitution, one insertion or deletion, or one adjacent swap.
+Each candidate span is verified once by a first-mismatch test: past the
+common prefix, what is left must be equal outright (an exact match) or after
+one substitution, one insertion or deletion, or one adjacent swap.
 """
 
 import functools
 import re
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
@@ -37,7 +38,7 @@ DEFAULT_FUZZY_MIN_LEN = 8
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-# piece -> its sorted start positions in a scanned range
+# piece -> its start positions in a scanned range, in any order
 PieceStarts = dict[str, list[int]]
 
 
@@ -219,9 +220,13 @@ def find_term(
 
     `piece_starts` holds the starts of the term's pieces (`term_pieces`) in
     a range covering `region`, as `scan_pieces` gives them for a group of
-    analyzers; without it the term's own pieces are scanned for.
+    analyzers; without it the term's own pieces are scanned for. A hit of
+    the first half at q proposes the spans starting at q, a hit of the
+    second half the spans ending where it ends, each at the term's length
+    and one either side, and a hit of the mid-swapped term the span it
+    covers. Each proposed span inside `region` is checked once.
 
-    One occurrence is reported once: candidates sharing a start position keep
+    One occurrence is reported once: spans sharing a start position keep
     the closest (then longest) span, and a span overlapped by a strictly
     closer span is dropped, so the one-edit halo around an exact occurrence
     does not multiply it. With E = 0 this degrades to naive substring search.
@@ -233,41 +238,25 @@ def find_term(
     pieces = term_pieces(term, max_edits, fuzzy_min_len)
     if piece_starts is None:
         piece_starts = PieceScanner(pieces).scan(text, lo, hi)
-
-    def starts(piece: str) -> list[int]:
-        found = piece_starts.get(piece, [])
-        return found[bisect_left(found, lo) : bisect_right(found, hi - len(piece))]
-
     length = len(term)
     if len(pieces) == 1:
-        return [Region(s, s + length) for s in starts(term)]
+        return sorted(Region(s, s + length) for s in piece_starts.get(term, ()) if lo <= s <= hi - length)
 
     first, second, swapped = pieces
-    candidates: set[int] = set()
-    for off, piece in ((0, first), (len(first), second)):
-        for q in starts(piece):
-            s0 = q - off
-            candidates.update((s0 - 1, s0, s0 + 1))
-    candidates.update(starts(swapped))
-    found: list[tuple[int, int, int]] = []  # (start, length, distance)
-    for s in sorted(candidates):
-        if s < lo:
-            continue
-        if s + length <= hi and text.startswith(term, s):
-            found.append((s, length, 0))
-            continue
-        for sub_len in (length + 1, length, length - 1):  # the longest one-edit span wins
-            if s + sub_len <= hi and _one_edit_distance(term, text[s : s + sub_len]) == 1:
-                found.append((s, sub_len, 1))
-                break
-    spans = [
-        Region(s, s + ln)
-        for s, ln, d in found
-        if not any(
-            od < d and os_ < s + ln and os_ + oln > s for os_, oln, od in found
-        )
+    lengths = (length - 1, length, length + 1)
+    candidates = [(q, n) for q in piece_starts.get(first, ()) for n in lengths]
+    candidates += [(q + len(second) - n, n) for q in piece_starts.get(second, ()) for n in lengths]
+    candidates += [(q, length) for q in piece_starts.get(swapped, ())]
+    best: dict[int, tuple[int, int]] = {}  # start -> (distance, -length): closest, then longest
+    for s, n in candidates:
+        if lo <= s and s + n <= hi:
+            d = _one_edit_distance(term, text[s : s + n])
+            if d < 2 and (d, -n) < best.get(s, (2, 0)):
+                best[s] = (d, -n)
+    found = sorted((s, s - neg, d) for s, (d, neg) in best.items())  # (start, end, distance)
+    return [
+        Region(s, e) for s, e, d in found if not any(od < d and os_ < e and oe > s for os_, oe, od in found)
     ]
-    return spans
 
 
 def find_supports(
