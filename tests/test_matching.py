@@ -113,6 +113,18 @@ def test_single_deletion_matched_for_long_terms():
     assert spans == oracle_find(text, Region(0, len(text)), term, 1)
 
 
+def test_transposition_across_the_midpoint_matched():
+    # neither half of the term occurs verbatim: only the mid-swapped piece finds it
+    text = "we ran the kolmogorvo smirnov check"
+    term = "kolmogorov smirnov"
+    region = Region(0, len(text))
+    shared = PieceScanner(_pieces_of([term, "t test", "shapiro wilk"], 1, 8)).scan(text, 0, len(text))
+    assert find_term(text, region, term, 1) == [Region(11, 29)]
+    assert find_term(text, region, term, 1, 8, shared) == [Region(11, 29)]
+    assert oracle_find(text, region, term, 1) == [Region(11, 29)]
+    assert osa_distance(term, text[11:29]) == 1
+
+
 def test_short_terms_never_fuzzy():
     text = "a t tost here"
     assert find_term(text, Region(0, len(text)), "t test", max_edits=1) == []
