@@ -241,10 +241,18 @@ def load_manifest(path: str | Path) -> list[SourceMeta]:
             if not 1900 <= year <= 2100:
                 errors.append(f"line {lineno}: year {year} outside [1900, 2100]")
                 continue
-            p = Path(row["path"])
+            # csv gives None for the missing cells of a short row
+            journal, cell = (row["journal"] or "").strip(), row["path"] or ""
+            if not journal:
+                errors.append(f"line {lineno}: empty journal")
+                continue
+            if not cell.strip():
+                errors.append(f"line {lineno}: empty path")
+                continue
+            p = Path(cell)
             if not p.is_absolute():
                 p = base / p
-            metas.append(SourceMeta(paper_id=pid, journal=row["journal"].strip(), year=year, path=str(p)))
+            metas.append(SourceMeta(paper_id=pid, journal=journal, year=year, path=str(p)))
     if errors:
         raise ValueError(f"{path}: " + "; ".join(errors))
     return metas

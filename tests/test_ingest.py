@@ -213,13 +213,16 @@ def test_load_manifest_rejects_bad_rows(tmp_path):
         "p1,EMSE,2015,a.txt\n"
         "p1,EMSE,2016,b.txt\n"
         "p2,EMSE,1850,c.txt\n"
-        "p3,EMSE,notayear,d.txt\n",
+        "p3,EMSE,notayear,d.txt\n"
+        "p4,EMSE,2015\n"
+        "p5,,2015,e.txt\n",
         encoding="utf-8",
     )
     with pytest.raises(ValueError) as err:
         load_manifest(manifest)
     message = str(err.value)
     assert "duplicate" in message and "1850" in message and "notayear" in message
+    assert "line 6: empty path" in message and "line 7: empty journal" in message
 
 
 def test_make_document_counts_words():
