@@ -30,7 +30,8 @@ DEFAULT_SHORT_THRESHOLD = 4000
 
 # apostrophes (straight and typographic), soft hyphen, zero-width space
 _DROPPED = "'’\xad\u200b"
-_HYPHENS = "-‐‑"
+# hyphens (U+002D, U+2010, U+2011), dashes (U+2012-U+2015) and the minus sign
+_HYPHENS = "-\u2010\u2011\u2012\u2013\u2014\u2015\u2212"
 # every code point str.isspace() accepts except " "; str.split() splits on
 # the same set. A literal, because scanning Unicode costs import time.
 _OTHER_SPACES = (
@@ -99,7 +100,8 @@ def normalize(raw: str) -> tuple[str, OffsetMap]:
          'İ' gives a plain 'i'
       4. apostrophes (straight and typographic), soft hyphens and zero-width
          spaces are removed
-      5. every hyphen becomes a space (then collapses with neighbours)
+      5. every hyphen, dash and minus sign becomes a space (then collapses
+         with neighbours)
       6. the Latin ligatures U+FB00-U+FB06 expand to their letters ('ﬁ' to
          'fi')
     Leading and trailing whitespace is dropped.

@@ -22,11 +22,17 @@ from litscan.ingest import (
     word_count_of,
 )
 
+# hyphens, dashes and the minus sign: normalize makes each a space
+DASHES = "-\u2010\u2011\u2012\u2013\u2014\u2015\u2212"
+
 # pieces exercising every normalization rule plus plain unicode: 'İ', which
 # str.lower() lowers to two characters; 'Σ', which it lowers by context;
-# ligatures, soft hyphen and zero-width space from PDF extraction; non-ASCII
-# spaces; and runs of separators and dropped characters
-RAW_ALPHABET = list("abcXYZİΣ αβ.,;0123'’-‐‑\n\r\t\x0c\xa0\u2003ﬁﬃﬆ\xad\u200b") + ["  ", " \n", "-\n", "' ", " - "]
+# ligatures, soft hyphen and zero-width space from PDF extraction; en and em
+# dashes and the minus sign; non-ASCII spaces; and runs of separators and
+# dropped characters
+RAW_ALPHABET = list("abcXYZİΣ αβ.,;0123'’-‐‑–—−\n\r\t\x0c\xa0\u2003ﬁﬃﬆ\xad\u200b") + [
+    "  ", " \n", "-\n", "' ", " - "
+]
 
 raw_text = st.lists(st.sampled_from(RAW_ALPHABET), max_size=150).map("".join)
 
@@ -40,7 +46,7 @@ def oracle_normalize(raw: str) -> tuple[str, list[int]]:
     for i, ch in enumerate(raw):
         if ch in "'’\xad\u200b":
             continue
-        if ch in "-‐‑" or ch.isspace():
+        if ch in DASHES or ch.isspace():
             if pending_space_at < 0:
                 pending_space_at = i
             continue
@@ -149,7 +155,7 @@ def test_offset_map_consistent_with_source(raw):
     for i, ch in enumerate(normalized):
         src = raw[raw_index(omap, i)]
         if ch == " ":
-            assert src.isspace() or src in "-‐‑"
+            assert src.isspace() or src in DASHES
         else:
             assert ch in unicodedata.normalize("NFKC", src).lower()
 
