@@ -253,7 +253,7 @@ def find_term(
             d = _one_edit_distance(term, text[s : s + n])
             if d < 2 and (d, -n) < best.get(s, (2, 0)):
                 best[s] = (d, -n)
-    found = sorted((s, s - neg, d) for s, (d, neg) in best.items())  # (start, end, distance)
+    found = sorted((s, s - neg_len, d) for s, (d, neg_len) in best.items())  # (start, end, distance)
     return [
         Region(s, e) for s, e, d in found if not any(od < d and os_ < e and oe > s for os_, oe, od in found)
     ]
