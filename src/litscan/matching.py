@@ -6,16 +6,27 @@ word boundaries, so skip matchers keep their job of cancelling matches like
 characters also match at restricted Damerau-Levenshtein distance 1, which
 picks up misspellings and leftover line-break damage.
 
-The distance-1 search is pigeonhole-based: a substring within one edit of
-the term either starts with the term's first half (the edit lies after it),
-ends with the term's second half (the edit lies before it), or is the term
-with the two characters around the midpoint swapped, which is searched for
-directly. So each piece fixes where a span starts or ends, and its length is
-one of the term's length and one either side. A term that gets no edit
-budget is its own single piece. The exact occurrences of every piece of a
-group of analyzers are found together: the pieces are compiled once into one
-trie-shaped regex whose longest match at a position names every piece that
-starts there, and one search loop over the group's region records them all.
+The distance-1 search is a partition filter. Each fuzzy term gets a start
+piece term[a:b] and an end piece term[c:] with at least one character
+between them (b < c). One edit, an adjacent swap included, then leaves one
+of them whole where it sits: an edit at or after b leaves term[:b] at the
+span's start, and an edit before c leaves term[c:] at its end. So each piece
+fixes where a span starts or ends, and its length is one of the term's length
+and one either side. A 2-character term has no room for a gap; its pieces
+touch, and the swap across them is a third piece. A term that gets no edit
+budget anchors on a suffix of at least MIN_PIECE characters and is checked
+whole.
+
+The exact occurrences of every piece of a group of analyzers are found
+together: the pieces are compiled once into one trie-shaped regex whose
+longest match at a position names every piece that starts there, and one
+search loop over the group's region records them all. The regex engine only
+tries positions whose character can begin a piece, so the pieces of a group
+begin with as few and as rare characters as its terms allow: starting from
+every character of the terms, the commonest (by LETTER_ORDER) are dropped
+while every term can still place its pieces on the letters left, and each
+term then takes its longest pieces on them.
+
 Each candidate span is verified once by a first-mismatch test: past the
 common prefix, what is left must be equal outright (an exact match) or after
 one substitution, one insertion or deletion, or one adjacent swap.
@@ -23,8 +34,7 @@ one substitution, one insertion or deletion, or one adjacent swap.
 
 import functools
 import re
-from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from .dsl import AnalyzerSpec, SkipMatcher
@@ -38,8 +48,15 @@ DEFAULT_FUZZY_MIN_LEN = 8
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-# piece -> its start positions in a scanned range, in any order
-PieceStarts = dict[str, list[int]]
+# shortest piece a term anchors on, where the term is long enough
+MIN_PIECE = 3
+# commonest first in English text; a group's start letters drop them in this
+# order, and a character not listed is never dropped
+LETTER_ORDER = " etaoinshrdlcumwfgypbvkjxqz"
+
+# (a, b, c): a term's start piece is term[a:b], empty when a == b, and its
+# end piece is term[c:]
+Layout = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -126,16 +143,61 @@ def _one_edit_distance(a: str, b: str) -> int:
     return 1 if same else 2
 
 
-def term_pieces(term: str, max_edits: int, fuzzy_min_len: int) -> tuple[str, ...]:
-    """The strings whose exact occurrences propose `find_term`'s candidates:
-    (term,) when the term gets no edit budget, else its first half, its
-    second half and the term with the two characters around the midpoint
-    swapped."""
+def _fuzzy(term: str, max_edits: int, fuzzy_min_len: int) -> bool:
+    return max_edits >= 1 and len(term) >= max(fuzzy_min_len, 2)
+
+
+def _layout(term: str, fuzzy: bool, letters: frozenset[str] | None) -> Layout | None:
+    """The layout of the term's longest pieces that begin with one of
+    `letters` (None: with any character), or None when no pieces do. A term
+    with no edit budget has only an end piece. A fuzzy term leaves a gap
+    (b < c), so one edit, adjacent swap included, leaves one piece whole
+    where it sits; only a 2-character term has touching pieces (b == c),
+    and then the swap across them is a third piece."""
     length = len(term)
-    if max_edits < 1 or length < max(fuzzy_min_len, 2):
-        return (term,)
-    mid = length // 2
-    return term[:mid], term[mid:], term[: mid - 1] + term[mid] + term[mid - 1] + term[mid + 1 :]
+    fit = [i for i in range(length) if letters is None or term[i] in letters]
+    if not fuzzy:
+        return next(((0, 0, c) for c in fit if c <= length - min(MIN_PIECE, length)), None)
+    if length == 2:
+        return (0, 1, 1) if len(fit) == 2 else None
+    least = min(MIN_PIECE, (length - 1) // 2)
+    ends = [c for c in fit if fit[0] + least < c <= length - least]
+    if not ends:
+        return None
+    a = fit[0]  # the longest start piece for any c
+    # the longest shorter piece, since its hits dominate, then the longer end piece
+    c = min(ends, key=lambda c: (-min(c - 1 - a, length - c), c))
+    return a, c - 1, c
+
+
+def _pieces(term: str, layout: Layout) -> tuple[str, ...]:
+    a, b, c = layout
+    if a == b:
+        return (term[c:],)
+    if b < c:
+        return term[a:b], term[c:]
+    return term[a:b], term[c:], term[::-1]  # a 2-character term and its swap
+
+
+def term_pieces(term: str, max_edits: int, fuzzy_min_len: int) -> tuple[str, ...]:
+    """The strings whose exact occurrences propose `find_term`'s candidates
+    when any character may begin them: the term itself when it gets no edit
+    budget, else a start piece and an end piece with a gap between them, or
+    with the swap across them when they touch."""
+    return _pieces(term, _layout(term, _fuzzy(term, max_edits, fuzzy_min_len), None))
+
+
+def _start_letters(terms: set[tuple[str, bool]]) -> frozenset[str]:
+    """The characters the pieces of `terms` ((term, fuzzy) pairs) may begin
+    with: every character of the terms, less the commonest ones (by
+    LETTER_ORDER) that every term can do without. The scan only tries the
+    positions holding one of them."""
+    letters = frozenset(ch for term, _ in terms for ch in term)
+    for ch in LETTER_ORDER:
+        fewer = letters - {ch}
+        if ch in letters and all(_layout(term, fuzzy, fewer) for term, fuzzy in terms if ch in term):
+            letters = fewer
+    return letters
 
 
 def _trie_pattern(pieces: set[str]) -> str:
@@ -159,12 +221,23 @@ def _trie_pattern(pieces: set[str]) -> str:
     return alternation(trie)
 
 
+class PieceStarts(dict[str, list[int]]):
+    """piece -> its start positions in a scanned range, in any order.
+    `layouts` maps each term whose pieces were scanned for to the layout
+    they were cut by, so that `find_term` uses the same pieces."""
+
+    def __init__(self, layouts: Mapping[str, Layout]):
+        super().__init__()
+        self.layouts = layouts
+
+
 class PieceScanner:
     """Finds every start of a fixed set of pieces in one regex search loop,
     overlapping starts included."""
 
-    def __init__(self, pieces: Iterable[str]):
+    def __init__(self, pieces: Iterable[str], layouts: Mapping[str, Layout] | None = None):
         pieces = set(pieces)
+        self.layouts = layouts or {}
         self._pattern = re.compile(_trie_pattern(pieces)) if pieces else None
         # a hit on the longest piece at a position is a hit on each piece that is its prefix
         self._prefixes = {
@@ -173,7 +246,7 @@ class PieceScanner:
 
     def scan(self, text: str, lo: int, hi: int) -> PieceStarts:
         """The starts of every piece lying wholly inside text[lo:hi]."""
-        starts: PieceStarts = defaultdict(list)
+        starts = PieceStarts(self.layouts)
         if self._pattern is None:
             return starts
         search, prefixes = self._pattern.search, self._prefixes
@@ -181,26 +254,36 @@ class PieceScanner:
         while m:
             s = m.start()
             for piece in prefixes[m.group()]:
-                starts[piece].append(s)
+                starts.setdefault(piece, []).append(s)
             m = search(text, s + 1, hi)
         return starts
 
 
+def _scanner(terms: set[tuple[str, bool]]) -> PieceScanner:
+    """A scanner for the pieces of `terms` ((term, fuzzy) pairs) on the start
+    letters chosen for them together."""
+    letters = _start_letters(terms)
+    layouts = {term: _layout(term, fuzzy, letters) for term, fuzzy in terms}
+    return PieceScanner((p for term, layout in layouts.items() for p in _pieces(term, layout)), layouts)
+
+
 @functools.lru_cache(maxsize=128)
 def _group_scanner(specs: tuple[AnalyzerSpec, ...], max_edits: int, fuzzy_min_len: int) -> PieceScanner:
-    return PieceScanner(
-        piece
-        for spec in specs
-        for example in spec.positives + spec.negatives
-        for term in spec.candidate_terms(example)
-        for piece in term_pieces(term, max_edits, fuzzy_min_len)
+    return _scanner(
+        {
+            (term, _fuzzy(term, max_edits, fuzzy_min_len))
+            for spec in specs
+            for example in spec.positives + spec.negatives
+            for term in spec.candidate_terms(example)
+        }
     )
 
 
 def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], config: MatchConfig) -> PieceStarts:
     """The starts of every piece of the analyzers' terms, in one pass over
-    the furthest of their regions. The scanner is built on the first call for
-    a given group and config, and reused after."""
+    the furthest of their regions. The scanner, and with it the group's start
+    letters, is built on the first call for a given group and config, and
+    reused after."""
     end = max((prefix_region(doc, spec.region_fraction).end for spec in specs), default=0)
     scanner = _group_scanner(tuple(specs), config.max_edits, config.fuzzy_min_len)
     return scanner.scan(doc.normalized, 0, end)
@@ -218,13 +301,17 @@ def find_term(
     `term`, where E = 1 when the term is fuzzy-eligible and max_edits allows
     it, else 0.
 
-    `piece_starts` holds the starts of the term's pieces (`term_pieces`) in
-    a range covering `region`, as `scan_pieces` gives them for a group of
-    analyzers; without it the term's own pieces are scanned for. A hit of
-    the first half at q proposes the spans starting at q, a hit of the
-    second half the spans ending where it ends, each at the term's length
-    and one either side, and a hit of the mid-swapped term the span it
-    covers. Each proposed span inside `region` is checked once.
+    `piece_starts` holds the starts of the term's pieces in a range covering
+    `region`, as `scan_pieces` gives them for a group of analyzers, with the
+    layout the term's pieces were cut by (a scanner built from bare pieces
+    has none, and then the term's pieces are those of `term_pieces`); without
+    it the term's own pieces are chosen and scanned for. With E = 0 a hit of the suffix term[c:] at q
+    proposes the span starting at q - c. With E = 1 a hit of the start piece
+    term[a:b] at q proposes the spans starting at q - a when term[:a]
+    precedes it, a hit of the end piece term[c:] the spans ending where it
+    ends, each at the term's length and one either side, and for a
+    2-character term a hit of the swapped term the span it covers. Each
+    proposed span inside `region` is checked once.
 
     One occurrence is reported once: spans sharing a start position keep
     the closest (then longest) span, and a span overlapped by a strictly
@@ -235,18 +322,27 @@ def find_term(
     if not term:
         raise ValueError("term must be non-empty")
     lo, hi = max(region.start, 0), min(region.end, len(text))
-    pieces = term_pieces(term, max_edits, fuzzy_min_len)
+    fuzzy = _fuzzy(term, max_edits, fuzzy_min_len)
     if piece_starts is None:
-        piece_starts = PieceScanner(pieces).scan(text, lo, hi)
+        piece_starts = _scanner({(term, fuzzy)}).scan(text, lo, hi)
+    a, b, c = piece_starts.layouts.get(term) or _layout(term, fuzzy, None)
     length = len(term)
-    if len(pieces) == 1:
-        return sorted(Region(s, s + length) for s in piece_starts.get(term, ()) if lo <= s <= hi - length)
+    ends = piece_starts.get(term[c:], ())
+    if not fuzzy:  # the suffix ends where the term does
+        starts = (q - c for q in ends)
+        return sorted(
+            Region(s, s + length) for s in starts if lo <= s <= hi - length and text.startswith(term, s)
+        )
 
-    first, second, swapped = pieces
     lengths = (length - 1, length, length + 1)
-    candidates = [(q, n) for q in piece_starts.get(first, ()) for n in lengths]
-    candidates += [(q + len(second) - n, n) for q in piece_starts.get(second, ()) for n in lengths]
-    candidates += [(q, length) for q in piece_starts.get(swapped, ())]
+    tail = length - c
+    # a start-piece hit stands for spans that begin with term[:b] whole
+    head = term[:a]
+    starts = (q - a for q in piece_starts.get(term[a:b], ()))
+    candidates = [(s, n) for s in starts if lo <= s and text.startswith(head, s) for n in lengths]
+    candidates += [(q + tail - n, n) for q in ends for n in lengths]
+    if b == c:
+        candidates += [(q, length) for q in piece_starts.get(term[::-1], ())]
     best: dict[int, tuple[int, int]] = {}  # start -> (distance, -length): closest, then longest
     for s, n in candidates:
         if lo <= s and s + n <= hi:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
-from litscan.dsl import parse_skip_matcher
+from conftest import filler, make_doc
+from litscan.dsl import parse_analyzer, parse_skip_matcher
 from litscan.ingest import Region
 from litscan.matching import (
     EvidenceMatch,
+    MatchConfig,
     PieceScanner,
     _one_edit_distance,
     apply_skips,
@@ -18,6 +19,7 @@ from litscan.matching import (
     find_term,
     osa_distance,
     run_analyzer,
+    scan_pieces,
     term_pieces,
 )
 from litscan.scoring import resolve_analyzer
@@ -114,7 +116,8 @@ def test_single_deletion_matched_for_long_terms():
 
 
 def test_transposition_across_the_midpoint_matched():
-    # neither half of the term occurs verbatim: only the mid-swapped piece finds it
+    # a swap across the term's middle: the pieces leave a gap there, so the
+    # start piece still occurs whole where the span begins
     text = "we ran the kolmogorvo smirnov check"
     term = "kolmogorov smirnov"
     region = Region(0, len(text))
@@ -254,6 +257,68 @@ def test_scan_end_cuts_off_a_longer_piece_but_keeps_its_prefix():
 
 def test_scanner_without_pieces_finds_nothing():
     assert PieceScanner([]).scan("any text", 0, 8) == {}
+
+
+# --- start letters chosen per group -----------------------------------------
+
+
+def _one_edit_variants(term):
+    """The term, then every deletion, every adjacent swap, and every
+    insertion or substitution of a character the term lacks."""
+    outside = next(ch for ch in "qxzj" if ch not in term)
+    yield term
+    for i in range(len(term) + 1):
+        yield term[:i] + outside + term[i:]
+    for i in range(len(term)):
+        yield term[:i] + term[i + 1 :]
+        yield term[:i] + outside + term[i + 1 :]
+        if i + 1 < len(term) and term[i] != term[i + 1]:
+            yield term[:i] + term[i + 1] + term[i] + term[i + 2 :]
+
+
+@pytest.mark.parametrize("mode", ["exclude", "classify"])
+def test_group_start_letters_lose_no_one_edit_match(bundle, match_config, mode):
+    # the whole text is scanned, whatever region the analyzers keep
+    group = [replace(spec, region_fraction=1.0) for spec in bundle if spec.mode == mode]
+    examples = [(spec, ex) for spec in group for ex in spec.positives + spec.negatives]
+    terms = sorted({term for spec, ex in examples for term in spec.candidate_terms(ex)})
+    words = iter(filler(len(terms) * 400))
+    for term in terms:
+        fuzzy = len(term) >= match_config.fuzzy_min_len
+        parts, slots = [], []
+        for variant in _one_edit_variants(term):
+            if variant != " ".join(variant.split()):
+                continue  # normalized text has no runs of spaces
+            parts.append(" ".join(next(words) for _ in range(3)) + " ")
+            start = sum(map(len, parts))
+            parts.append(variant + " ")
+            slots.append((variant, Region(start, start + len(variant))))
+        doc = make_doc("".join(parts) + "end")
+        text, region = doc.normalized, Region(0, len(doc.normalized))
+        assert text == "".join(parts) + "end"
+        starts = scan_pieces(doc, group, match_config)
+        a, b, c = starts.layouts[term]
+        assert (a < b < c if fuzzy else a == b) and c < len(term), term  # a gap between two pieces
+        got = find_term(text, region, term, 1, 8, starts)
+        assert got == find_term(text, region, term, 1, 8), term
+        assert got == oracle_find(text, region, term, 1), term
+        for variant, slot in slots:
+            if fuzzy or variant == term:
+                assert any(s.start <= slot.end and slot.start <= s.end for s in got), (term, variant)
+
+
+def test_two_character_terms_match_within_one_edit():
+    spec = parse_analyzer("analyzer: short\ntags: t\n\n[positive]\n[[[aa]]]\n[[[xy]]]\n")
+    config = MatchConfig(fuzzy_min_len=2)
+    doc = make_doc("a xy yx x aa ba a q xyx aqa")
+    text, region = doc.normalized, Region(0, len(doc.normalized))
+    starts = scan_pieces(doc, [spec], config)
+    for term, exact in (("aa", Region(10, 12)), ("xy", Region(2, 4))):
+        got = find_term(text, region, term, 1, 2, starts)
+        assert got == find_term(text, region, term, 1, 2) == oracle_find(text, region, term, 1, 2)
+        assert exact in got
+    assert Region(5, 7) in find_term(text, region, "xy", 1, 2, starts)  # the swap "yx"
+    assert run_analyzer(doc, spec, config)
 
 
 # --- find_supports ----------------------------------------------------------
