@@ -42,17 +42,28 @@ class ConfusionRow:
 
 
 def load_truth(path: str | Path) -> list[GroundTruth]:
-    """Read ground-truth labels from a CSV with header paper_id,tag,label."""
+    """Read ground-truth labels from a CSV with header paper_id,tag,label.
+
+    Raises ValueError listing every problem found."""
     rows: list[GroundTruth] = []
     errors: list[str] = []
     seen: set[tuple[str, str]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            label = row["label"].strip().lower()
+        reader = csv.DictReader(fh)
+        missing = {"paper_id", "tag", "label"} - set(reader.fieldnames or [])
+        if missing:
+            raise ValueError(f"{path}: truth file is missing columns: {sorted(missing)}")
+        for lineno, row in enumerate(reader, start=2):
+            # csv gives None for the missing cells of a short row
+            pid, tag, label = ((row[k] or "").strip() for k in ("paper_id", "tag", "label"))
+            if not pid or not tag:
+                errors.append(f"line {lineno}: empty {'paper_id' if not pid else 'tag'}")
+                continue
+            label = label.lower()
             if label not in (LABEL_PRESENT, LABEL_ABSENT):
                 errors.append(f"line {lineno}: label must be present or absent, got {label!r}")
                 continue
-            key = (row["paper_id"].strip(), row["tag"].strip())
+            key = (pid, tag)
             if key in seen:
                 errors.append(f"line {lineno}: duplicate (paper_id, tag) pair {key}")
                 continue

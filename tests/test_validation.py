@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import REGRESSION_DIR, filler
+from litscan.cli import main
 from litscan.corpus import CorpusResult, RunConfig
 from litscan.ingest import SourceMeta
 from litscan.validation import (
@@ -99,6 +100,38 @@ def test_load_truth_validates(tmp_path):
     with pytest.raises(ValueError) as err:
         load_truth(path)
     assert "duplicate" in str(err.value) and "maybe" in str(err.value)
+
+
+def test_load_truth_reports_short_rows_and_empty_cells(tmp_path):
+    path = tmp_path / "truth.csv"
+    rows = ["paper_id,tag,label", "p1,parametric_test", ",t,present", "p3,,absent", "p4,t,present"]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_truth(path)
+    message = str(err.value)
+    assert "line 2: label must be present or absent, got ''" in message
+    assert "line 3: empty paper_id" in message and "line 4: empty tag" in message
+    assert "line 5" not in message
+
+
+def test_load_truth_reports_missing_columns(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("paper_id,tag\np1,t\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"missing columns: \['label'\]"):
+        load_truth(path)
+
+
+def test_validate_command_reports_a_bad_truth_file(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("paper_id,journal,year,words,status,t\np1,J,2010,5000,analyzed,positive\n",
+                       encoding="utf-8")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("paper_id,tag,label\np1,t\n", encoding="utf-8")
+    assert main(["validate", "--results", str(results), "--truth", str(truth)]) == 1
+    assert "error:" in capsys.readouterr().err
+    truth.write_text("paper_id,tag\np1,t\n", encoding="utf-8")
+    assert main(["validate", "--results", str(results), "--truth", str(truth)]) == 1
+    assert "missing columns" in capsys.readouterr().err
 
 
 def test_regression_fixtures_pass(bundle):
