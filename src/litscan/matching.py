@@ -27,9 +27,12 @@ every character of the terms, the commonest (by LETTER_ORDER) are dropped
 while every term can still place its pieces on the letters left, and each
 term then takes its longest pieces on them.
 
-Each candidate span is verified once by a first-mismatch test: past the
-common prefix, what is left must be equal outright (an exact match) or after
-one substitution, one insertion or deletion, or one adjacent swap.
+A candidate span is first tested the same way, by string comparisons that
+run in C: the part of the term on the edit's side of the piece is cut once
+more around a gap, and one of its two parts must sit whole at its place.
+Each candidate that passes is verified once by a first-mismatch test: past
+the common prefix, what is left must be equal outright (an exact match) or
+after one substitution, one insertion or deletion, or one adjacent swap.
 """
 
 import functools
@@ -307,11 +310,11 @@ def find_term(
     has none, and then the term's pieces are those of `term_pieces`); without
     it the term's own pieces are chosen and scanned for. With E = 0 a hit of the suffix term[c:] at q
     proposes the span starting at q - c. With E = 1 a hit of the start piece
-    term[a:b] at q proposes the spans starting at q - a when term[:a]
-    precedes it, a hit of the end piece term[c:] the spans ending where it
-    ends, each at the term's length and one either side, and for a
-    2-character term a hit of the swapped term the span it covers. Each
-    proposed span inside `region` is checked once.
+    term[a:b] at q proposes the spans starting at q - a, a hit of the end
+    piece term[c:] the spans ending where it ends, each at the term's length
+    and one either side, and for a 2-character term a hit of the swapped
+    term the span it covers. Each proposed span inside `region` that passes
+    a split test of the rest of the term is checked once.
 
     One occurrence is reported once: spans sharing a start position keep
     the closest (then longest) span, and a span overlapped by a strictly
@@ -335,12 +338,25 @@ def find_term(
         )
 
     lengths = (length - 1, length, length + 1)
-    tail = length - c
-    # a start-piece hit stands for spans that begin with term[:b] whole
-    head = term[:a]
-    starts = (q - a for q in piece_starts.get(term[a:b], ()))
-    candidates = [(s, n) for s in starts if lo <= s and text.startswith(head, s) for n in lengths]
-    candidates += [(q + tail - n, n) for q in ends for n in lengths]
+    # A span that a start-piece hit stands for begins with term[:b] whole and
+    # has its one edit in term[b:]: cut there with a gap at m, so the span
+    # also begins with term[:m] or ends with term[m + 1:]. A span that an
+    # end-piece hit stands for has its edit in term[:c]: cut with a gap at k,
+    # so it begins with term[:k] or term[k + 1:c] precedes the piece. These
+    # tests run in C and spare the full check most candidates.
+    m, k = (b + length) // 2, c // 2
+    head, longer, rest = term[:b], term[:m], term[m + 1 :]
+    candidates = [
+        (s, n)
+        for s in (q - a for q in piece_starts.get(term[a:b], ()))
+        if lo <= s and text.startswith(head, s)
+        for n in lengths
+        if text.startswith(longer, s) or text.endswith(rest, 0, s + n)
+    ]
+    lead, before = term[:k], term[k + 1 : c]
+    for q in ends:
+        e, whole = q + length - c, text.endswith(before, 0, q)
+        candidates += [(e - n, n) for n in lengths if lo <= e - n and (whole or text.startswith(lead, e - n))]
     if b == c:
         candidates += [(q, length) for q in piece_starts.get(term[::-1], ())]
     best: dict[int, tuple[int, int]] = {}  # start -> (distance, -length): closest, then longest
