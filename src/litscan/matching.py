@@ -14,8 +14,8 @@ span's start, and an edit before c leaves term[c:] at its end. So each piece
 fixes where a span starts or ends, and its length is one of the term's length
 and one either side. A 2-character term has no room for a gap; its pieces
 touch, and the swap across them is a third piece. A term that gets no edit
-budget anchors on a suffix of at least MIN_PIECE characters and is checked
-whole.
+budget anchors on a suffix of at least MIN_PIECE characters (or on all of
+a shorter term) and is checked whole.
 
 The exact occurrences of every piece of a group of analyzers are found
 together: the pieces are compiled once into one trie-shaped regex whose
@@ -51,7 +51,8 @@ DEFAULT_FUZZY_MIN_LEN = 8
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-# shortest piece a term anchors on, where the term is long enough
+# shortest piece a term anchors on where it is long enough: shorter pieces
+# hit too often, and longer ones need more start letters (4 adds s and d)
 MIN_PIECE = 3
 # commonest first in English text; a group's start letters drop them in this
 # order, and a character not listed is never dropped
@@ -307,14 +308,16 @@ def find_term(
     `piece_starts` holds the starts of the term's pieces in a range covering
     `region`, as `scan_pieces` gives them for a group of analyzers, with the
     layout the term's pieces were cut by (a scanner built from bare pieces
-    has none, and then the term's pieces are those of `term_pieces`); without
-    it the term's own pieces are chosen and scanned for. With E = 0 a hit of the suffix term[c:] at q
-    proposes the span starting at q - c. With E = 1 a hit of the start piece
-    term[a:b] at q proposes the spans starting at q - a, a hit of the end
-    piece term[c:] the spans ending where it ends, each at the term's length
-    and one either side, and for a 2-character term a hit of the swapped
-    term the span it covers. Each proposed span inside `region` that passes
-    a split test of the rest of the term is checked once.
+    has none, and then the term's pieces are those of `term_pieces`);
+    without it the term's own pieces are chosen and scanned for.
+
+    With E = 0 a hit of the suffix term[c:] at q proposes the span starting
+    at q - c. With E = 1 a hit of the start piece term[a:b] at q proposes
+    the spans starting at q - a, a hit of the end piece term[c:] the spans
+    ending where it ends, each at the term's length and one either side, and
+    for a 2-character term a hit of the swapped term the span it covers.
+    Each proposed span inside `region` that passes a split test of the rest
+    of the term is checked once.
 
     One occurrence is reported once: spans sharing a start position keep
     the closest (then longest) span, and a span overlapped by a strictly
