@@ -7,7 +7,8 @@ Subcommands:
   report          classify a single text file and print its report
   aggregate       recompute journal-year aggregates from a results.csv
   validate        confusion table of a results.csv against truth labels
-  regress         run the regression fixture corpus
+  regress         run the regression fixture corpus (text fixtures, no
+                  short-text gate: only the matching flags apply)
   sample          stratified sample of paper ids for manual review
 
 Exit codes: 0 success, 1 parse/configuration error, 2 partial per-paper
@@ -62,6 +63,9 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
                    help="edit budget for fuzzy term matching")
     p.add_argument("--fuzzy-min-len", type=int, default=DEFAULT_FUZZY_MIN_LEN, metavar="N",
                    help="minimum term length for fuzzy matching")
+
+
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--short-threshold", type=int, default=DEFAULT_SHORT_THRESHOLD, metavar="N",
                    help="skip texts with fewer words than this")
     p.add_argument("--converter", default=None, metavar="CMD",
@@ -139,28 +143,33 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _read_results_csv(path: str) -> tuple[list[CorpusResult], list[str]]:
     """Rebuild enough of the per-paper results from a results.csv to
-    aggregate, validate, and sample."""
+    aggregate, validate, and sample. Raises ValueError listing every
+    problem found."""
+    fixed = ["paper_id", "journal", "year", "words", "status"]
+    results: list[CorpusResult] = []
+    errors: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        fixed = ["paper_id", "journal", "year", "words", "status"]
+        header = next(reader, [])
         if header[: len(fixed)] != fixed:
             raise ValueError(f"{path}: unexpected results header {header!r}")
         tags = header[len(fixed):]
-        results = []
         for row in reader:
+            lineno = reader.line_num  # a quoted cell may hold a line break
+            if len(row) != len(header):
+                errors.append(f"line {lineno}: {len(row)} cells, the header has {len(header)}")
+                continue
             pid, journal, year, words, status = row[: len(fixed)]
-            cells = row[len(fixed):]
-            verdicts = {t: c for t, c in zip(tags, cells) if c}
-            results.append(
-                CorpusResult(
-                    meta=SourceMeta(paper_id=pid, journal=journal, year=int(year), path=""),
-                    status=status,
-                    tag_verdicts=verdicts,
-                    per_analyzer={},
-                    word_count=int(words),
-                )
-            )
+            try:
+                meta = SourceMeta(paper_id=pid, journal=journal, year=int(year), path="")
+                word_count = int(words)
+            except ValueError:
+                errors.append(f"line {lineno}: year {year!r} or words {words!r} is not an integer")
+                continue
+            verdicts = {t: c for t, c in zip(tags, row[len(fixed):]) if c}
+            results.append(CorpusResult(meta, status, verdicts, per_analyzer={}, word_count=word_count))
+    if errors:
+        raise ValueError(f"{path}: " + "; ".join(errors))
     return results, tags
 
 
@@ -179,7 +188,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_regress(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.analyzers)
-    config = RunConfig(match=_match_config(args), converter=args.converter)
+    config = RunConfig(match=_match_config(args))
     ok, lines = regression_check(args.fixtures, bundle, config)
     print("\n".join(lines))
     return 0 if ok else 1
@@ -204,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.add_argument("--jobs", type=int, default=1)
     _add_match_flags(p)
+    _add_input_flags(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("check-analyzers", help="parse and validate a bundle")
@@ -216,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal", default="unknown")
     p.add_argument("--year", type=int, default=2000)
     _add_match_flags(p)
+    _add_input_flags(p)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("aggregate", help="recompute aggregates from a results.csv")

@@ -25,7 +25,6 @@ character is '#' are comments, except #RegexpMatcher(...)# tokens inside the
 [skip] section. Synonym lists may wrap across lines.
 """
 
-import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,49 +59,39 @@ def normalize_phrase(phrase: str) -> str:
 
 @dataclass(frozen=True)
 class ExampleTemplate:
-    """One annotated example line: a primary phrase plus ordered supports."""
+    """One annotated example line: a primary phrase plus ordered supports.
+    The normalized forms are derived from them; the normalized supports
+    are deduplicated, so each distinct phrase counts once."""
 
     raw_line: str
     primary: str
     supports: tuple[str, ...]
     polarity: str  # "positive" | "negative"
-    normalized_primary: str = ""
-    normalized_supports: tuple[str, ...] = ()
+    normalized_primary: str = field(init=False)
+    normalized_supports: tuple[str, ...] = field(init=False)
 
-    @staticmethod
-    def build(raw_line: str, primary: str, supports: tuple[str, ...], polarity: str) -> "ExampleTemplate":
-        # normalized supports are deduplicated; each distinct phrase counts once
-        norm_supports: list[str] = []
-        for s in supports:
-            ns = normalize_phrase(s)
-            if ns and ns not in norm_supports:
-                norm_supports.append(ns)
-        return ExampleTemplate(
-            raw_line=raw_line,
-            primary=primary,
-            supports=supports,
-            polarity=polarity,
-            normalized_primary=normalize_phrase(primary),
-            normalized_supports=tuple(norm_supports),
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "normalized_primary", normalize_phrase(self.primary))
+        supports = (normalize_phrase(s) for s in self.supports)
+        object.__setattr__(self, "normalized_supports", tuple(dict.fromkeys(s for s in supports if s)))
 
 
 @dataclass(frozen=True)
 class SkipMatcher:
+    """A skip regex; `compiled` is derived from the pattern and its flag, and
+    a pattern that does not compile raises re.error."""
+
     pattern: str
     case_insensitive: bool
+    compiled: re.Pattern = field(init=False, repr=False, compare=False)
 
-    def compiled(self) -> re.Pattern:
-        return _compile_skip(self.pattern, self.case_insensitive)
+    def __post_init__(self) -> None:
+        flags = re.IGNORECASE if self.case_insensitive else 0
+        object.__setattr__(self, "compiled", re.compile(self.pattern, flags))
 
     def token(self) -> str:
         flags = "i" if self.case_insensitive else ""
         return f'#RegexpMatcher(r"{self.pattern}"{flags})#'
-
-
-@functools.lru_cache(maxsize=512)
-def _compile_skip(pattern: str, case_insensitive: bool) -> re.Pattern:
-    return re.compile(pattern, re.IGNORECASE if case_insensitive else 0)
 
 
 @dataclass(frozen=True)
@@ -115,6 +104,7 @@ class AnalyzerSpec:
     tags: tuple[str, ...]
     region_fraction: float = 1.0
     mode: str = "classify"  # "classify" | "exclude"
+    # derived from `synonyms`
     normalized_synonyms: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -130,12 +120,10 @@ def parse_skip_matcher(token: str) -> SkipMatcher:
     m = _SKIP_TOKEN_RE.match(token.strip())
     if m is None:
         raise ValueError(f"malformed skip matcher: {token!r}")
-    pattern, flags = m.group(1), m.group(2)
     try:
-        _compile_skip(pattern, "i" in flags)
+        return SkipMatcher(pattern=m.group(1), case_insensitive="i" in m.group(2))
     except re.error as exc:
         raise ValueError(f"skip matcher pattern does not compile: {exc}") from exc
-    return SkipMatcher(pattern=pattern, case_insensitive="i" in flags)
 
 
 def _parse_example(line: str, polarity: str) -> ExampleTemplate:
@@ -166,7 +154,7 @@ def _parse_example(line: str, polarity: str) -> ExampleTemplate:
         if not normalize_phrase(sup):
             raise ValueError("empty support phrase")
         supports.append(sup)
-    return ExampleTemplate.build(line, primary, tuple(supports), polarity)
+    return ExampleTemplate(line, primary, tuple(supports), polarity)
 
 
 def _is_comment(line: str) -> bool:

@@ -25,7 +25,8 @@ tries positions whose character can begin a piece, so the pieces of a group
 begin with as few and as rare characters as its terms allow: starting from
 every character of the terms, the commonest (by LETTER_ORDER) are dropped
 while every term can still place its pieces on the letters left, and each
-term then takes its longest pieces on them.
+term then takes its longest pieces on them. A term searched for on its own
+is a group of one.
 
 A candidate span is first tested the same way, by string comparisons that
 run in C: the part of the term on the edit's side of the piece is cut once
@@ -92,10 +93,6 @@ class EvidenceMatch:
     skipped: bool = False
     skipped_by: str | None = None
 
-    @property
-    def supports_matched(self) -> int:
-        return len(self.matched_supports)
-
 
 def osa_distance(a: str, b: str) -> int:
     """Restricted Damerau-Levenshtein distance (substitution, insertion,
@@ -151,15 +148,15 @@ def _fuzzy(term: str, max_edits: int, fuzzy_min_len: int) -> bool:
     return max_edits >= 1 and len(term) >= max(fuzzy_min_len, 2)
 
 
-def _layout(term: str, fuzzy: bool, letters: frozenset[str] | None) -> Layout | None:
+def _layout(term: str, fuzzy: bool, letters: frozenset[str]) -> Layout | None:
     """The layout of the term's longest pieces that begin with one of
-    `letters` (None: with any character), or None when no pieces do. A term
-    with no edit budget has only an end piece. A fuzzy term leaves a gap
-    (b < c), so one edit, adjacent swap included, leaves one piece whole
-    where it sits; only a 2-character term has touching pieces (b == c),
-    and then the swap across them is a third piece."""
+    `letters`, or None when no pieces do. A term with no edit budget has
+    only an end piece. A fuzzy term leaves a gap (b < c), so one edit,
+    adjacent swap included, leaves one piece whole where it sits; only a
+    2-character term has touching pieces (b == c), and then the swap across
+    them is a third piece."""
     length = len(term)
-    fit = [i for i in range(length) if letters is None or term[i] in letters]
+    fit = [i for i in range(length) if term[i] in letters]
     if not fuzzy:
         return next(((0, 0, c) for c in fit if c <= length - min(MIN_PIECE, length)), None)
     if length == 2:
@@ -181,14 +178,6 @@ def _pieces(term: str, layout: Layout) -> tuple[str, ...]:
     if b < c:
         return term[a:b], term[c:]
     return term[a:b], term[c:], term[::-1]  # a 2-character term and its swap
-
-
-def term_pieces(term: str, max_edits: int, fuzzy_min_len: int) -> tuple[str, ...]:
-    """The strings whose exact occurrences propose `find_term`'s candidates
-    when any character may begin them: the term itself when it gets no edit
-    budget, else a start piece and an end piece with a gap between them, or
-    with the swap across them when they touch."""
-    return _pieces(term, _layout(term, _fuzzy(term, max_edits, fuzzy_min_len), None))
 
 
 def _start_letters(terms: set[tuple[str, bool]]) -> frozenset[str]:
@@ -236,12 +225,15 @@ class PieceStarts(dict[str, list[int]]):
 
 
 class PieceScanner:
-    """Finds every start of a fixed set of pieces in one regex search loop,
-    overlapping starts included."""
+    """Finds every start of the pieces of a set of terms ((term, fuzzy)
+    pairs) in one regex search loop, overlapping starts included. The pieces
+    begin with the start letters chosen for the terms together."""
 
-    def __init__(self, pieces: Iterable[str], layouts: Mapping[str, Layout] | None = None):
-        pieces = set(pieces)
-        self.layouts = layouts or {}
+    def __init__(self, terms: Iterable[tuple[str, bool]]):
+        terms = set(terms)
+        letters = _start_letters(terms)
+        self.layouts = {term: _layout(term, fuzzy, letters) for term, fuzzy in terms}
+        pieces = {p for term, layout in self.layouts.items() for p in _pieces(term, layout)}
         self._pattern = re.compile(_trie_pattern(pieces)) if pieces else None
         # a hit on the longest piece at a position is a hit on each piece that is its prefix
         self._prefixes = {
@@ -263,23 +255,13 @@ class PieceScanner:
         return starts
 
 
-def _scanner(terms: set[tuple[str, bool]]) -> PieceScanner:
-    """A scanner for the pieces of `terms` ((term, fuzzy) pairs) on the start
-    letters chosen for them together."""
-    letters = _start_letters(terms)
-    layouts = {term: _layout(term, fuzzy, letters) for term, fuzzy in terms}
-    return PieceScanner((p for term, layout in layouts.items() for p in _pieces(term, layout)), layouts)
-
-
 @functools.lru_cache(maxsize=128)
 def _group_scanner(specs: tuple[AnalyzerSpec, ...], max_edits: int, fuzzy_min_len: int) -> PieceScanner:
-    return _scanner(
-        {
-            (term, _fuzzy(term, max_edits, fuzzy_min_len))
-            for spec in specs
-            for example in spec.positives + spec.negatives
-            for term in spec.candidate_terms(example)
-        }
+    return PieceScanner(
+        (term, _fuzzy(term, max_edits, fuzzy_min_len))
+        for spec in specs
+        for example in spec.positives + spec.negatives
+        for term in spec.candidate_terms(example)
     )
 
 
@@ -307,9 +289,8 @@ def find_term(
 
     `piece_starts` holds the starts of the term's pieces in a range covering
     `region`, as `scan_pieces` gives them for a group of analyzers, with the
-    layout the term's pieces were cut by (a scanner built from bare pieces
-    has none, and then the term's pieces are those of `term_pieces`);
-    without it the term's own pieces are chosen and scanned for.
+    layout the term's pieces were cut by; a term it has no layout for raises
+    KeyError. Without it the term's own pieces are chosen and scanned for.
 
     With E = 0 a hit of the suffix term[c:] at q proposes the span starting
     at q - c. With E = 1 a hit of the start piece term[a:b] at q proposes
@@ -330,8 +311,8 @@ def find_term(
     lo, hi = max(region.start, 0), min(region.end, len(text))
     fuzzy = _fuzzy(term, max_edits, fuzzy_min_len)
     if piece_starts is None:
-        piece_starts = _scanner({(term, fuzzy)}).scan(text, lo, hi)
-    a, b, c = piece_starts.layouts.get(term) or _layout(term, fuzzy, None)
+        piece_starts = PieceScanner([(term, fuzzy)]).scan(text, lo, hi)
+    a, b, c = piece_starts.layouts[term]
     length = len(term)
     ends = piece_starts.get(term[c:], ())
     if not fuzzy:  # the suffix ends where the term does
@@ -418,7 +399,7 @@ def apply_skips(
         window = text[lo:hi]
         hit: str | None = None
         for sk in skips:
-            for rm in sk.compiled().finditer(window):
+            for rm in sk.compiled.finditer(window):
                 if lo + rm.start() < m.span.end and lo + rm.end() > m.span.start:
                     hit = sk.pattern
                     break

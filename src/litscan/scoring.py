@@ -35,10 +35,6 @@ class TagSummary:
     negative_analyzers: tuple[str, ...]
 
     @property
-    def classified_positive(self) -> bool:
-        return len(self.positive_analyzers) >= 1
-
-    @property
     def verdict(self) -> str:
         if self.positive_analyzers:
             return VERDICT_POSITIVE

@@ -1,14 +1,19 @@
 import pytest
 
-from conftest import ANALYZER_DIR
+from conftest import ANALYZER_DIR, make_doc
 from litscan.dsl import (
     AnalyzerParseError,
+    AnalyzerSpec,
     BundleError,
+    ExampleTemplate,
+    SkipMatcher,
     load_bundle,
     parse_analyzer,
     parse_skip_matcher,
     serialize_analyzer,
 )
+from litscan.ingest import Region
+from litscan.matching import EvidenceMatch, apply_skips, run_analyzer
 
 TTEST_SOURCE = (ANALYZER_DIR / "students_t_test.analyzer").read_text(encoding="utf-8")
 
@@ -77,6 +82,28 @@ def test_parse_skip_matcher_rejects_malformed():
         parse_skip_matcher("#RegexpMatcher([a-z)#")
     with pytest.raises(ValueError, match="does not compile"):
         parse_skip_matcher('#RegexpMatcher(r"[unclosed")#')
+
+
+def test_a_directly_built_example_equals_the_parsed_one(match_config):
+    parsed = parse_analyzer(TTEST_SOURCE).positives[0]
+    built = ExampleTemplate(parsed.raw_line, parsed.primary, parsed.supports, "positive")
+    assert built == parsed
+    assert ExampleTemplate("x", "a", ("Used", "used", "'"), "positive").normalized_supports == ("used",)
+    spec = AnalyzerSpec("direct", (built,), (), (), (), ("t",))
+    matches = run_analyzer(make_doc("We used a Student's t-test here"), spec, match_config)
+    assert [(m.matched_term, m.span, len(m.matched_supports)) for m in matches] == [
+        ("students t test", Region(10, 25), 1)
+    ]
+
+
+def test_a_directly_built_skip_matcher_equals_the_parsed_one():
+    token = r'#RegexpMatcher(r"[a-zA-Z]{1}t(\s+|-)test"i)#'
+    built = SkipMatcher(r"[a-zA-Z]{1}t(\s+|-)test", True)
+    assert built == parse_skip_matcher(token) and built.token() == token
+    text = "several unit tests were written"
+    match = EvidenceMatch("a", 0, "positive", "t test", Region(11, 17), (), 0, 1)
+    (out,) = apply_skips([match], (built,), text)
+    assert out.skipped and apply_skips([match], (parse_skip_matcher(token),), text) == [out]
 
 
 def _expect_error(source: str, needle: str, lineno: int | None = None):

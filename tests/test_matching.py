@@ -14,13 +14,13 @@ from litscan.matching import (
     MatchConfig,
     PieceScanner,
     _one_edit_distance,
+    _pieces,
     apply_skips,
     find_supports,
     find_term,
     osa_distance,
     run_analyzer,
     scan_pieces,
-    term_pieces,
 )
 from litscan.scoring import resolve_analyzer
 
@@ -121,7 +121,7 @@ def test_transposition_across_the_midpoint_matched():
     text = "we ran the kolmogorvo smirnov check"
     term = "kolmogorov smirnov"
     region = Region(0, len(text))
-    shared = PieceScanner(_pieces_of([term, "t test", "shapiro wilk"], 1, 8)).scan(text, 0, len(text))
+    shared = PieceScanner(_terms_of([term, "t test", "shapiro wilk"], 1, 8)).scan(text, 0, len(text))
     assert find_term(text, region, term, 1) == [Region(11, 29)]
     assert find_term(text, region, term, 1, 8, shared) == [Region(11, 29)]
     assert oracle_find(text, region, term, 1) == [Region(11, 29)]
@@ -195,15 +195,18 @@ def test_fuzzy_oracle_agreement_on_subregions(text, term, a, b):
 # --- shared piece scan ------------------------------------------------------
 
 
-def _pieces_of(terms, max_edits, fuzzy_min_len):
-    return {p for t in terms for p in term_pieces(t, max_edits, fuzzy_min_len)}
+def _terms_of(terms, max_edits, fuzzy_min_len):
+    """(term, fuzzy) pairs, each fuzzy as find_term decides it."""
+    return {(t, max_edits >= 1 and len(t) >= max(fuzzy_min_len, 2)) for t in terms}
 
 
-def _assert_scan_equals_oracle(text, lo, hi, pieces):
-    got = PieceScanner(pieces).scan(text, lo, hi)
+def _assert_scan_equals_oracle(text, lo, hi, terms):
+    scanner = PieceScanner(terms)
+    got = scanner.scan(text, lo, hi)
+    pieces = {p for term, layout in scanner.layouts.items() for p in _pieces(term, layout)}
     for piece in pieces:
         assert got.get(piece, []) == exact_starts(text, lo, hi, piece), piece
-    assert set(got) <= set(pieces)
+    assert set(got) <= pieces
     return got
 
 
@@ -220,7 +223,7 @@ def test_shared_scan_equals_single_term_search_and_oracle(text, terms, a, b, max
     # over "ab " one piece is often a prefix of another, so hits fan out
     lo, hi = sorted((min(a, len(text)), min(b, len(text))))
     region = Region(lo, hi)
-    shared = _assert_scan_equals_oracle(text, 0, len(text), _pieces_of(terms, max_edits, fuzzy_min_len))
+    shared = _assert_scan_equals_oracle(text, 0, len(text), _terms_of(terms, max_edits, fuzzy_min_len))
     for term in terms:
         alone = find_term(text, region, term, max_edits, fuzzy_min_len)
         assert find_term(text, region, term, max_edits, fuzzy_min_len, shared) == alone
@@ -233,8 +236,7 @@ def test_shared_scan_escapes_regex_metacharacters():
         "pxvalue aab f(x) backslash cost $5 p.value a+b back\\slash mean (sd) + 1.5$ "
         "mean (sd) + 1,5$ f(x)) meann (sd) + 1.5$"
     )
-    pieces = _pieces_of(terms, 1, 8)
-    shared = _assert_scan_equals_oracle(text, 0, len(text), pieces)
+    shared = _assert_scan_equals_oracle(text, 0, len(text), _terms_of(terms, 1, 8))
     region = Region(0, len(text))
     for term in terms:
         got = find_term(text, region, term, 1, 8, shared)
@@ -247,7 +249,9 @@ def test_shared_scan_escapes_regex_metacharacters():
 
 def test_scan_end_cuts_off_a_longer_piece_but_keeps_its_prefix():
     text = "xx abcd abcd"
-    scanner = PieceScanner(["ab", "abcd", "bc"])
+    scanner = PieceScanner([("ab", False), ("abcd", False), ("bc", False)])
+    # each term anchors on its first letter, so "ab" is a prefix of "abcd"
+    assert scanner.layouts == {"ab": (0, 0, 0), "abcd": (0, 0, 0), "bc": (0, 0, 0)}
     assert scanner.scan(text, 0, 6) == {"ab": [3], "bc": [4]}
     assert scanner.scan(text, 0, 7) == {"ab": [3], "abcd": [3], "bc": [4]}
     assert scanner.scan(text, 4, len(text)) == {"ab": [8], "abcd": [8], "bc": [4, 9]}
@@ -257,6 +261,14 @@ def test_scan_end_cuts_off_a_longer_piece_but_keeps_its_prefix():
 
 def test_scanner_without_pieces_finds_nothing():
     assert PieceScanner([]).scan("any text", 0, 8) == {}
+
+
+def test_a_term_missing_from_the_scan_is_an_error():
+    text = "we used a students t test"
+    starts = PieceScanner([("t test", False)]).scan(text, 0, len(text))
+    assert find_term(text, Region(0, len(text)), "t test", 1, 8, starts) == [Region(19, 25)]
+    with pytest.raises(KeyError):
+        find_term(text, Region(0, len(text)), "students t test", 1, 8, starts)
 
 
 # --- start letters chosen per group -----------------------------------------
@@ -447,7 +459,7 @@ def test_positive_example_with_supports_scores_high(by_name, match_config):
     assert ev.verdict == "positive"
     assert ev.positive_matches
     top = ev.positive_matches[0]
-    assert top.supports_matched >= 1
+    assert len(top.matched_supports) >= 1
     assert top.score >= 2
 
 
@@ -456,7 +468,7 @@ def test_negative_example_confirms(by_name, match_config):
     matches = run_analyzer(doc, by_name["students_t_test"], match_config)
     negatives = [m for m in matches if m.polarity == "negative"]
     assert len(negatives) == 1
-    assert negatives[0].supports_matched == negatives[0].supports_total
+    assert len(negatives[0].matched_supports) == negatives[0].supports_total
 
 
 def test_empty_document_yields_nothing(by_name, match_config):

@@ -114,13 +114,13 @@ WORKED = [
 def test_three_analyzer_aggregation_scenario():
     summaries = {s.tag: s for s in aggregate_tags(WORKED)}
     qa = summaries["quantitative_analysis"]
-    assert (len(qa.positive_analyzers), len(qa.negative_analyzers), qa.classified_positive) == (2, 1, True)
+    assert (len(qa.positive_analyzers), len(qa.negative_analyzers), qa.verdict) == (2, 1, VERDICT_POSITIVE)
     stt = summaries["statistical_test"]
-    assert (len(stt.positive_analyzers), len(stt.negative_analyzers), stt.classified_positive) == (1, 1, True)
+    assert (len(stt.positive_analyzers), len(stt.negative_analyzers), stt.verdict) == (1, 1, VERDICT_POSITIVE)
     npt = summaries["non_parametric_test"]
-    assert (len(npt.positive_analyzers), len(npt.negative_analyzers), npt.classified_positive) == (1, 0, True)
+    assert (len(npt.positive_analyzers), len(npt.negative_analyzers), npt.verdict) == (1, 0, VERDICT_POSITIVE)
     pt = summaries["parametric_test"]
-    assert (len(pt.positive_analyzers), len(pt.negative_analyzers), pt.classified_positive) == (0, 1, False)
+    assert (len(pt.positive_analyzers), len(pt.negative_analyzers), pt.verdict) == (0, 1, VERDICT_NEGATIVE)
     assert pt.verdict == VERDICT_NEGATIVE
 
 
@@ -133,7 +133,7 @@ def test_all_no_evidence_classifies_nothing():
 
 def test_single_positive_analyzer_propagates_to_all_its_tags():
     evs = [_ev("friedman", VERDICT_POSITIVE, ["non_parametric_test", "statistical_test", "quantitative_analysis"])]
-    assert all(s.classified_positive for s in aggregate_tags(evs))
+    assert all(s.verdict == VERDICT_POSITIVE for s in aggregate_tags(evs))
 
 
 @given(st.permutations(WORKED))
@@ -142,8 +142,8 @@ def test_aggregation_is_permutation_invariant(shuffled):
 
 
 def test_removing_negative_analyzer_never_unclassifies():
-    with_neg = {s.tag: s.classified_positive for s in aggregate_tags(WORKED)}
-    without = {s.tag: s.classified_positive for s in aggregate_tags([WORKED[0], WORKED[2]])}
+    with_neg = {s.tag: s.verdict == VERDICT_POSITIVE for s in aggregate_tags(WORKED)}
+    without = {s.tag: s.verdict == VERDICT_POSITIVE for s in aggregate_tags([WORKED[0], WORKED[2]])}
     for tag, classified in without.items():
         assert classified == with_neg[tag]
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import REGRESSION_DIR, filler
+from conftest import ANALYZER_DIR, REGRESSION_DIR, filler
 from litscan.cli import main
 from litscan.corpus import CorpusResult, RunConfig
 from litscan.ingest import SourceMeta
@@ -201,3 +201,43 @@ def test_stratified_sample_overflow_returns_all():
 def test_stratified_sample_ignores_unanalyzed():
     results = _stratified_results() + [_result("skip", {}, status="skipped_short")]
     assert "skip" not in stratified_sample(results, "t", 1000, seed=1)
+
+
+@pytest.mark.parametrize("command", ["aggregate", "validate", "sample"])
+def test_results_readers_report_every_bad_line(tmp_path, capsys, command):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("paper_id,tag,label\np1,t,present\n", encoding="utf-8")
+    extra = {
+        "aggregate": [],
+        "validate": ["--truth", str(truth)],
+        "sample": ["--tag", "t", "-n", "1", "--seed", "1"],
+    }
+    results = tmp_path / "results.csv"
+    results.write_text(
+        'paper_id,journal,year,words,status,t\np1,"J\nK",2010,5000,analyzed,positive\n'
+        "p2,J,2010\np3,J,20x0,5000,analyzed,none\np4,J,2011,many,analyzed,none\n",
+        encoding="utf-8",
+    )
+    assert main([command, "--results", str(results), *extra[command]]) == 1
+    err = capsys.readouterr().err
+    # p1's quoted journal spans lines 2 and 3
+    assert err.startswith(f"error: {results}: line 4: 3 cells, the header has 6")
+    assert "line 5: year '20x0' or words '5000'" in err and "line 6: year '2011' or words 'many'" in err
+    assert "line 2" not in err and "line 3" not in err
+    results.write_text("", encoding="utf-8")
+    assert main([command, "--results", str(results), *extra[command]]) == 1
+    assert "unexpected results header []" in capsys.readouterr().err
+    results.write_text("paper_id,journal,year,words,status,t\np1,J,2010,5000,analyzed,positive\n",
+                       encoding="utf-8")
+    assert main([command, "--results", str(results), *extra[command]]) == 0
+    assert capsys.readouterr().out
+
+
+def test_regress_command_takes_only_the_matching_flags(capsys):
+    argv = ["regress", "--fixtures", str(REGRESSION_DIR), "--analyzers", str(ANALYZER_DIR)]
+    assert main(argv + ["--max-edits", "1"]) == 0
+    assert all(line.startswith("PASS") for line in capsys.readouterr().out.splitlines())
+    for flag, value in (("--converter", "false {input}"), ("--short-threshold", "999999")):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + [flag, value])
+        assert exit_.value.code == 2
