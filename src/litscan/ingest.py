@@ -111,25 +111,41 @@ def normalize(raw: str) -> tuple[str, OffsetMap]:
     character normalized[i] derives from, raw_start + i - norm_start under
     the last breakpoint at or before i. A collapsed space maps to the first
     separator of the run it replaces, and every letter of an expanded
-    ligature maps to the ligature. The map is non-decreasing, and normalize
-    is idempotent (re-normalizing yields the same text and the identity map,
-    ((0, 0),)).
+    ligature maps to the ligature. When nothing between the first and last
+    characters kept was dropped, collapsed or expanded, the map is the one
+    breakpoint (0, raw_start) of the first kept character. The map is
+    non-decreasing, and normalize is idempotent (re-normalizing yields the
+    same text and the identity map, ((0, 0),)).
     """
     text = raw
     for dropped in _DROPPED:
         text = text.replace(dropped, "")
     for hyphen in _HYPHENS:
         text = text.replace(hyphen, " ")
+    length = len(text)
     for ligature, letters in _LIGATURES.items():
         text = text.replace(ligature, letters)
-    return " ".join(text.split()).replace("İ", "i").replace("Σ", "σ").lower(), _offset_map(raw)
-
-
-def _offset_map(raw: str) -> OffsetMap:
-    """Breakpoints of normalize's offset map. Python runs once per gap that
-    is not a lone separator and once per ligature."""
+    expanded = len(text) != length
+    # str.split() splits on " " and _OTHER_SPACES; collapsing them in place
+    # gives the same text without building a list of words
+    for space in _OTHER_SPACES:
+        text = text.replace(space, " ")
+    while "  " in text:
+        text = text.replace("  ", " ")
+    text = text.strip(" ").replace("İ", "i").replace("Σ", "σ").lower()
     start = len(raw) - len(raw.lstrip(_GAP))
     stop = len(raw.rstrip(_GAP))
+    # with no ligature, one normalized character per raw one between the
+    # edges means every gap there is a lone separator: nothing moved
+    if not expanded and len(text) == stop - start:
+        return text, ((0, start),)
+    return text, _offset_map(raw, start, stop)
+
+
+def _offset_map(raw: str, start: int, stop: int) -> OffsetMap:
+    """Breakpoints of normalize's offset map; start and stop bound raw
+    without its leading and trailing gaps. Python runs once per gap that is
+    not a lone separator and once per ligature."""
     hits = [m.start() for m in _IRREGULAR.finditer(raw, start, stop)]
     at = raw.find("  ", start, stop)
     while at != -1:
@@ -223,7 +239,8 @@ def load_manifest(path: str | Path) -> list[SourceMeta]:
         missing = required - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"{path}: manifest is missing columns: {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted cell may hold a line break
             pid = (row["paper_id"] or "").strip()
             if not pid:
                 errors.append(f"line {lineno}: empty paper_id")

@@ -53,7 +53,8 @@ def load_truth(path: str | Path) -> list[GroundTruth]:
         missing = {"paper_id", "tag", "label"} - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"{path}: truth file is missing columns: {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted cell may hold a line break
             # csv gives None for the missing cells of a short row
             pid, tag, label = ((row[k] or "").strip() for k in ("paper_id", "tag", "label"))
             if not pid or not tag:

@@ -36,6 +36,15 @@ RAW_ALPHABET = list("abcXYZİΣ αβ.,;0123'’-‐‑–—−\n\r\t\x0c\xa0\u2
 
 raw_text = st.lists(st.sampled_from(RAW_ALPHABET), max_size=150).map("".join)
 
+# words of RAW_ALPHABET's letters other than ligatures, each after one
+# separator: a text whose offset map is the single breakpoint (0, start)
+LETTERS = [p for p in RAW_ALPHABET if p.isalpha() and p == unicodedata.normalize("NFKC", p)]
+SEPARATORS = [p for p in RAW_ALPHABET if len(p) == 1 and (p.isspace() or p in DASHES)]
+spaced_words = st.lists(
+    st.tuples(st.sampled_from(SEPARATORS), st.lists(st.sampled_from(LETTERS), min_size=1, max_size=8)),
+    max_size=20,
+).map(lambda pairs: "".join(sep + "".join(word) for sep, word in pairs))
+
 
 def oracle_normalize(raw: str) -> tuple[str, list[int]]:
     """Reference per-character loop: the normalized text and, for each of its
@@ -116,6 +125,34 @@ def test_normalize_equals_per_character_oracle(raw):
     expected, expected_map = oracle_normalize(raw)
     assert normalized == expected
     assert raw_indices(omap, len(normalized)) == expected_map
+
+
+@pytest.mark.parametrize(
+    "raw, one_breakpoint",
+    [
+        ("Conﬁdent's test", False),  # the ligature's extra letter and the dropped apostrophe cancel in length
+        ("ﬃ\xad x", False),
+        ("t–test", True),  # a lone separator maps one to one
+        ("a\xa0b", True),
+        ("  -\tplain ascii words -\n", True),  # ((0, 4),)
+    ],
+)
+def test_one_breakpoint_map_equals_oracle(raw, one_breakpoint):
+    normalized, omap = normalize(raw)
+    expected, expected_map = oracle_normalize(raw)
+    assert normalized == expected
+    assert raw_indices(omap, len(normalized)) == expected_map
+    assert (len(omap) == 1) == one_breakpoint
+
+
+@given(spaced_words)
+@settings(max_examples=300)
+def test_spaced_words_equal_oracle_with_one_breakpoint(raw):
+    normalized, omap = normalize(raw)
+    expected, expected_map = oracle_normalize(raw)
+    assert normalized == expected
+    assert raw_indices(omap, len(normalized)) == expected_map
+    assert len(omap) == 1
 
 
 def test_other_spaces_literal_is_every_nonspace_whitespace():
@@ -229,6 +266,17 @@ def test_load_manifest_rejects_bad_rows(tmp_path):
     message = str(err.value)
     assert "duplicate" in message and "1850" in message and "notayear" in message
     assert "line 6: empty path" in message and "line 7: empty journal" in message
+
+
+def test_load_manifest_numbers_file_lines_after_a_multiline_cell(tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        'paper_id,journal,year,path\np1,"Multi\nLine",2015,a.txt\np2,EMSE,20x0,b.txt\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    assert "line 4: year '20x0' is not an integer" in str(err.value)
 
 
 def test_make_document_counts_words():

@@ -114,6 +114,14 @@ def test_load_truth_reports_short_rows_and_empty_cells(tmp_path):
     assert "line 5" not in message
 
 
+def test_load_truth_numbers_file_lines_after_a_multiline_cell(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text('paper_id,tag,label\np1,"Multi\nLine",present\np2,t,maybe\n', encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_truth(path)
+    assert "line 4: label must be present or absent, got 'maybe'" in str(err.value)
+
+
 def test_load_truth_reports_missing_columns(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("paper_id,tag\np1,t\n", encoding="utf-8")
