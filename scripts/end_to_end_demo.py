@@ -34,9 +34,9 @@ def main() -> None:
     metas = load_manifest(corpus.manifest_path)
 
     started = time.perf_counter()
-    rows = run_corpus(metas, bundle, RunConfig(), jobs=args.jobs)
+    rows = run_corpus(metas, bundle, RunConfig(), None, jobs=args.jobs)
     elapsed = time.perf_counter() - started
-    results = [r for _, r, _, _ in rows if r is not None]
+    results = [r for _, r, _ in rows if r is not None]
     print(f"classified {len(results)} documents in {elapsed:.1f}s (jobs={args.jobs})")
 
     tags = tag_universe(bundle)

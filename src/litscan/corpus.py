@@ -11,9 +11,11 @@ import io
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .dsl import AnalyzerSpec
 from .ingest import (
+    DEFAULT_CONVERTER_TIMEOUT,
     DEFAULT_SHORT_THRESHOLD,
     STATUS_ANALYZED,
     STATUS_EXCLUDED_SECONDARY,
@@ -36,12 +38,17 @@ from .scoring import (
 
 log = logging.getLogger(__name__)
 
+# Chunks per pool worker: enough that a worker which drew slow papers does
+# not leave the others idle at the end, few enough that dispatch stays cheap.
+CHUNKS_PER_WORKER = 8
+
 
 @dataclass(frozen=True)
 class RunConfig:
     match: MatchConfig = field(default_factory=MatchConfig)
     short_threshold: int = DEFAULT_SHORT_THRESHOLD
     converter: str | None = None
+    converter_timeout: float = DEFAULT_CONVERTER_TIMEOUT  # seconds per paper
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,13 @@ def classify_paper(
     return result, render_report(doc, evidences, summaries)
 
 
+def _failure(meta: SourceMeta, exc: Exception) -> str:
+    """The errors.csv message of a paper that failed; call it from the
+    handler, so the log carries the traceback."""
+    log.exception("classifying %s failed", meta.paper_id)
+    return f"{meta.paper_id}: {type(exc).__name__}: {exc}"
+
+
 def classify_file(
     meta: SourceMeta,
     bundle: list[AnalyzerSpec],
@@ -114,47 +128,79 @@ def classify_file(
 ) -> tuple[CorpusResult | None, str | None, str | None]:
     """Load and classify one paper; returns (result, report, error)."""
     try:
-        result, report = classify_paper(load_document(meta, config.converter), bundle, config)
+        doc = load_document(meta, config.converter, config.converter_timeout)
+        result, report = classify_paper(doc, bundle, config)
     except Exception as exc:  # per-paper isolation: any failure costs only this paper
-        log.exception("classifying %s failed", meta.paper_id)
-        return None, None, f"{meta.paper_id}: {type(exc).__name__}: {exc}"
+        return None, None, _failure(meta, exc)
     return result, report, None
 
 
-_WORKER_BUNDLE: list[AnalyzerSpec] | None = None
-_WORKER_CONFIG: RunConfig | None = None
+def _classify_chunk(
+    metas: list[SourceMeta],
+    bundle: list[AnalyzerSpec],
+    config: RunConfig,
+    reports_dir: Path | None,
+) -> list[tuple[CorpusResult | None, str | None]]:
+    """Classify a chunk of papers, then write their reports; returns a
+    (result, error) pair per paper. A report that cannot be written fails
+    its paper. The reports are written together after the last paper,
+    which measured faster than writing each right after its paper."""
+    classified = [classify_file(meta, bundle, config) for meta in metas]
+    rows = []
+    for meta, (result, report, error) in zip(metas, classified):
+        if error is None and reports_dir is not None:
+            try:
+                (reports_dir / f"{meta.paper_id}.txt").write_text(report, encoding="utf-8")
+            except OSError as exc:
+                result, error = None, _failure(meta, exc)
+        rows.append((result, error))
+    return rows
 
 
-def _init_worker(bundle: list[AnalyzerSpec], config: RunConfig) -> None:
-    global _WORKER_BUNDLE, _WORKER_CONFIG
-    _WORKER_BUNDLE = bundle
-    _WORKER_CONFIG = config
+_WORKER_ARGS: tuple[list[AnalyzerSpec], RunConfig, Path | None] | None = None
 
 
-def _worker(meta: SourceMeta):
-    return classify_file(meta, _WORKER_BUNDLE, _WORKER_CONFIG)
+def _init_worker(bundle: list[AnalyzerSpec], config: RunConfig, reports_dir: Path | None) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = (bundle, config, reports_dir)
+
+
+def _worker(metas: list[SourceMeta]) -> list[tuple[CorpusResult | None, str | None]]:
+    return _classify_chunk(metas, *_WORKER_ARGS)
 
 
 def run_corpus(
     metas: list[SourceMeta],
     bundle: list[AnalyzerSpec],
     config: RunConfig,
+    reports_dir: Path | None,
     jobs: int = 1,
-) -> list[tuple[SourceMeta, CorpusResult | None, str | None, str | None]]:
-    """Classify every manifest paper, preserving manifest order in the
-    returned list regardless of worker count."""
-    rows = []
-    if jobs <= 1:
-        for meta in metas:
-            result, report, error = classify_file(meta, bundle, config)
-            rows.append((meta, result, report, error))
-        return rows
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(bundle, config)
-    ) as pool:
-        for meta, (result, report, error) in zip(metas, pool.map(_worker, metas)):
-            rows.append((meta, result, report, error))
-    return rows
+) -> list[tuple[SourceMeta, CorpusResult | None, str | None]]:
+    """Classify every manifest paper and write its report to
+    `reports_dir/<paper_id>.txt` (no reports when it is None); returns
+    (meta, result, error) rows in manifest order, whatever `jobs` is.
+
+    The manifest is cut into chunks of len(metas) // (jobs *
+    CHUNKS_PER_WORKER) consecutive papers, at least one. One process
+    classifies a chunk and then writes its reports: this one when a single
+    worker suffices, else one of a forked pool of min(jobs, chunks) workers.
+    Only results and errors come back, never report text."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    size = max(1, len(metas) // (jobs * CHUNKS_PER_WORKER))
+    chunks = [metas[i:i + size] for i in range(0, len(metas), size)]
+    workers = min(jobs, len(chunks))
+    if workers <= 1:
+        parts = [_classify_chunk(chunk, bundle, config, reports_dir) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(bundle, config, reports_dir)
+        ) as pool:
+            parts = list(pool.map(_worker, chunks))
+    return [
+        (meta, result, error)
+        for meta, (result, error) in zip(metas, (row for part in parts for row in part))
+    ]
 
 
 def emit_csv(results: list[CorpusResult], tags: list[str]) -> str:

@@ -186,11 +186,11 @@ def test_criterion_06_fuzzy_matcher_oracle_equivalence():
 def test_criterion_07_synthetic_corpus_precision_recall(bundle, synthetic):
     metas = load_manifest(synthetic.manifest_path)
     started = time.perf_counter()
-    rows = run_corpus(metas, bundle, RunConfig(), jobs=1)
+    rows = run_corpus(metas, bundle, RunConfig(), None, jobs=1)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    assert all(error is None for _, _, _, error in rows)
-    results = {r.meta.paper_id: r for _, r, _, _ in rows}
+    assert all(error is None for _, _, error in rows)
+    results = {r.meta.paper_id: r for _, r, _ in rows}
     assert all(r.status == "analyzed" for r in results.values())
 
     truth = load_truth(synthetic.truth_path)

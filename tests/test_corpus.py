@@ -1,6 +1,7 @@
 import csv
 import io
 import sys
+import time
 from pathlib import Path
 
 from conftest import ANALYZER_DIR, filler, make_doc
@@ -175,9 +176,9 @@ def _write_corpus(tmp_path: Path, texts: dict[str, str]) -> Path:
 def test_run_corpus_isolates_per_paper_errors(bundle, tmp_path):
     manifest = _write_corpus(tmp_path, {"ok": "We used a Student's t-test. " + " ".join(filler(80))})
     metas = load_manifest(manifest) + [SourceMeta("missing", "J", 2011, str(tmp_path / "nope.txt"))]
-    rows = run_corpus(metas, bundle, RunConfig(short_threshold=10), jobs=1)
-    assert rows[0][3] is None
-    assert rows[1][1] is None and "missing" in rows[1][3]
+    rows = run_corpus(metas, bundle, RunConfig(short_threshold=10), None, jobs=1)
+    assert rows[0][2] is None
+    assert rows[1][1] is None and "missing" in rows[1][2]
 
 
 def test_cli_classify_end_to_end(bundle, tmp_path):
@@ -292,18 +293,123 @@ def test_cli_check_analyzers_and_report(capsys, tmp_path):
     assert "students_t_test" in report
 
 
-def test_jobs_parity_mini(bundle, tmp_path):
+def test_jobs_parity_mini(tmp_path):
     texts = {
         f"p{i}": f"We used a Student's t-test in run {i}. " + " ".join(filler(90, seed=10 + i))
         for i in range(6)
     }
     manifest = _write_corpus(tmp_path, texts)
-    metas = load_manifest(manifest)
-    config = RunConfig(short_threshold=20)
-    seq = run_corpus(metas, bundle, config, jobs=1)
-    par = run_corpus(metas, bundle, config, jobs=3)
-    assert [r[1] for r in seq] == [r[1] for r in par]
-    assert [r[2] for r in seq] == [r[2] for r in par]
+    outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 3)}
+    for jobs, out in outs.items():
+        assert main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+                     "--out", str(out), "--short-threshold", "20", "--jobs", str(jobs)]) == 0
+    seq, par = outs[1], outs[3]
+    assert (seq / "results.csv").read_bytes() == (par / "results.csv").read_bytes()
+    reports = sorted(p.name for p in (seq / "reports").iterdir())
+    assert reports == sorted(p.name for p in (par / "reports").iterdir())
+    assert reports == [f"p{i}.txt" for i in range(6)]
+    for name in reports:
+        assert (seq / "reports" / name).read_bytes() == (par / "reports" / name).read_bytes()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    tasks in this process, so no worker is ever started."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_pool_has_no_more_workers_than_chunks(bundle, tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(corpus, "_WORKER_ARGS", None)  # restored after the recorder sets it
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    texts = {f"p{i}": "We used a Student's t-test. " + " ".join(filler(60, seed=i)) for i in range(3)}
+    metas = load_manifest(_write_corpus(tmp_path, texts))
+    config = RunConfig(short_threshold=10)
+
+    rows = run_corpus(metas, bundle, config, tmp_path, jobs=64)
+    assert _RecordingPool.workers == [3]
+    assert [meta.paper_id for meta, _, _ in rows] == ["p0", "p1", "p2"]
+    assert all(result is not None and error is None for _, result, error in rows)
+    assert sorted(p.name for p in tmp_path.glob("p*.txt")) == ["p0.txt", "p1.txt", "p2.txt"]
+
+    assert run_corpus([], bundle, config, None, jobs=4) == []  # an empty manifest starts no pool
+    assert len(run_corpus(metas[:1], bundle, config, None, jobs=4)) == 1  # one chunk runs here
+    assert len(run_corpus(metas, bundle, config, None, jobs=1)) == 3
+    assert _RecordingPool.workers == [3]
+
+
+def test_chunks_cover_the_manifest_in_order(bundle, tmp_path, monkeypatch):
+    chunks = []
+    real = corpus._classify_chunk
+
+    def record(metas, *args):
+        chunks.append([m.paper_id for m in metas])
+        return real(metas, *args)
+
+    monkeypatch.setattr(corpus, "_classify_chunk", record)
+    metas = [SourceMeta(f"m{i}", "J", 2011, str(tmp_path / f"m{i}.txt")) for i in range(20)]
+    rows = run_corpus(metas, bundle, RunConfig(), None, jobs=1)
+    size = max(1, 20 // corpus.CHUNKS_PER_WORKER)
+    assert [pid for chunk in chunks for pid in chunk] == [m.paper_id for m in metas]
+    assert all(len(chunk) == size for chunk in chunks[:-1]) and 0 < len(chunks[-1]) <= size
+    assert [meta for meta, _, _ in rows] == metas
+    assert all(result is None and f"m{i}: FileNotFoundError" in error
+               for i, (_, result, error) in enumerate(rows))
+
+
+def test_cli_rejects_jobs_and_converter_timeout_below_one(tmp_path, capsys):
+    manifest = _write_corpus(tmp_path, {"a": " ".join(filler(60))})
+    base = ["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+            "--out", str(tmp_path / "out")]
+    assert main(base + ["--jobs", "0"]) == 1
+    assert "error: --jobs must be positive" in capsys.readouterr().err
+    assert main(base + ["--converter-timeout", "0"]) == 1
+    assert "error: --converter-timeout must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_converter_timeout_fails_only_its_paper(tmp_path):
+    manifest = _write_corpus(tmp_path, {"slow": "placeholder"})
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    rc = main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+               "--out", str(out), "--converter", "sleep 5", "--converter-timeout", "0.5"])
+    assert time.perf_counter() - started < 4.0  # the converter was killed, not waited for
+    assert rc == 2
+    errors = list(csv.reader((out / "errors.csv").open()))
+    assert errors[1][0] == "slow" and "slow: TimeoutExpired: " in errors[1][1]
+    assert list(csv.reader((out / "results.csv").open()))[1:] == []
+
+
+def test_cli_unwritable_report_costs_only_its_paper(tmp_path):
+    texts = {pid: f"We used a Student's t-test in {pid}. " + " ".join(filler(90, seed=i))
+             for i, pid in enumerate(("a", "b", "c"))}
+    manifest = _write_corpus(tmp_path, texts)
+    out = tmp_path / "out"
+    (out / "reports" / "b.txt").mkdir(parents=True)
+    rc = main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+               "--out", str(out), "--short-threshold", "50"])
+    assert rc == 2
+    rows = list(csv.reader((out / "results.csv").open()))
+    assert [r[0] for r in rows[1:]] == ["a", "c"]
+    assert (out / "reports" / "a.txt").is_file() and (out / "reports" / "c.txt").is_file()
+    errors = list(csv.reader((out / "errors.csv").open()))
+    assert [e[0] for e in errors[1:]] == ["b"]
+    assert errors[1][1].startswith("b: IsADirectoryError: ")
 
 
 def test_aggregate_positive_counts_match_csv_cells():
