@@ -173,6 +173,11 @@ def _write_corpus(tmp_path: Path, texts: dict[str, str]) -> Path:
     return manifest
 
 
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 def test_run_corpus_isolates_per_paper_errors(bundle, tmp_path):
     manifest = _write_corpus(tmp_path, {"ok": "We used a Student's t-test. " + " ".join(filler(80))})
     metas = load_manifest(manifest) + [SourceMeta("missing", "J", 2011, str(tmp_path / "nope.txt"))]
@@ -390,9 +395,9 @@ def test_cli_converter_timeout_fails_only_its_paper(tmp_path):
                "--out", str(out), "--converter", "sleep 5", "--converter-timeout", "0.5"])
     assert time.perf_counter() - started < 4.0  # the converter was killed, not waited for
     assert rc == 2
-    errors = list(csv.reader((out / "errors.csv").open()))
+    errors = _csv_rows(out / "errors.csv")
     assert errors[1][0] == "slow" and "slow: TimeoutExpired: " in errors[1][1]
-    assert list(csv.reader((out / "results.csv").open()))[1:] == []
+    assert _csv_rows(out / "results.csv")[1:] == []
 
 
 def test_cli_unwritable_report_costs_only_its_paper(tmp_path):
@@ -404,10 +409,10 @@ def test_cli_unwritable_report_costs_only_its_paper(tmp_path):
     rc = main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
                "--out", str(out), "--short-threshold", "50"])
     assert rc == 2
-    rows = list(csv.reader((out / "results.csv").open()))
+    rows = _csv_rows(out / "results.csv")
     assert [r[0] for r in rows[1:]] == ["a", "c"]
     assert (out / "reports" / "a.txt").is_file() and (out / "reports" / "c.txt").is_file()
-    errors = list(csv.reader((out / "errors.csv").open()))
+    errors = _csv_rows(out / "errors.csv")
     assert [e[0] for e in errors[1:]] == ["b"]
     assert errors[1][1].startswith("b: IsADirectoryError: ")
 
