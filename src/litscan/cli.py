@@ -32,13 +32,7 @@ from .corpus import (
     tag_universe,
 )
 from .dsl import AnalyzerParseError, BundleError, load_bundle
-from .ingest import (
-    DEFAULT_CONVERTER_TIMEOUT,
-    DEFAULT_SHORT_THRESHOLD,
-    SourceMeta,
-    load_document,
-    load_manifest,
-)
+from .ingest import DEFAULT_SHORT_THRESHOLD, SourceMeta, load_document, load_manifest
 from .matching import (
     DEFAULT_FUZZY_MIN_LEN,
     DEFAULT_MAX_EDITS,
@@ -77,31 +71,18 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--converter", default=None, metavar="CMD",
                    help="external command template with an {input} placeholder "
                         "producing text on stdout")
-    p.add_argument("--converter-timeout", type=float, default=DEFAULT_CONVERTER_TIMEOUT,
-                   metavar="SECONDS",
-                   help="kill a converter still running after this long; its paper fails")
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    _require_positive("--converter-timeout", args.converter_timeout)
-    return RunConfig(
-        match=_match_config(args),
-        short_threshold=args.short_threshold,
-        converter=args.converter,
-        converter_timeout=args.converter_timeout,
-    )
-
-
-def _require_positive(flag: str, value: float) -> None:
-    if not value > 0:  # also rejects nan
-        raise ValueError(f"{flag} must be positive, got {value}")
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    _require_positive("--jobs", args.jobs)
-    config = _run_config(args)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     bundle = load_bundle(args.analyzers)
     metas = load_manifest(args.manifest)
+    config = RunConfig(
+        match=_match_config(args),
+        short_threshold=args.short_threshold,
+        converter=args.converter,
+    )
     out = Path(args.out)
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
@@ -146,12 +127,16 @@ def _cmd_check_analyzers(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    config = _run_config(args)
     bundle = load_bundle(args.analyzers)
+    config = RunConfig(
+        match=_match_config(args),
+        short_threshold=args.short_threshold,
+        converter=args.converter,
+    )
     meta = SourceMeta(
         paper_id=Path(args.paper).stem, journal=args.journal, year=args.year, path=args.paper
     )
-    doc = load_document(meta, config.converter, config.converter_timeout)
+    doc = load_document(meta, config.converter)
     _, report = classify_paper(doc, bundle, config)
     print(report, end="")
     return 0
@@ -228,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analyzers", required=True)
     p.add_argument("--out", default="out")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; each classifies chunks of papers and writes their reports")
+                   help="worker processes; each writes the reports of the papers it classifies")
     _add_match_flags(p)
     _add_input_flags(p)
     p.set_defaults(func=_cmd_classify)

@@ -9,13 +9,13 @@ isolated so a batch run never aborts on one bad file.
 import csv
 import io
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .dsl import AnalyzerSpec
 from .ingest import (
-    DEFAULT_CONVERTER_TIMEOUT,
     DEFAULT_SHORT_THRESHOLD,
     STATUS_ANALYZED,
     STATUS_EXCLUDED_SECONDARY,
@@ -48,7 +48,6 @@ class RunConfig:
     match: MatchConfig = field(default_factory=MatchConfig)
     short_threshold: int = DEFAULT_SHORT_THRESHOLD
     converter: str | None = None
-    converter_timeout: float = DEFAULT_CONVERTER_TIMEOUT  # seconds per paper
 
 
 @dataclass(frozen=True)
@@ -128,33 +127,27 @@ def classify_file(
 ) -> tuple[CorpusResult | None, str | None, str | None]:
     """Load and classify one paper; returns (result, report, error)."""
     try:
-        doc = load_document(meta, config.converter, config.converter_timeout)
-        result, report = classify_paper(doc, bundle, config)
+        result, report = classify_paper(load_document(meta, config.converter), bundle, config)
     except Exception as exc:  # per-paper isolation: any failure costs only this paper
         return None, None, _failure(meta, exc)
     return result, report, None
 
 
-def _classify_chunk(
-    metas: list[SourceMeta],
+def _classify_and_write(
+    meta: SourceMeta,
     bundle: list[AnalyzerSpec],
     config: RunConfig,
     reports_dir: Path | None,
-) -> list[tuple[CorpusResult | None, str | None]]:
-    """Classify a chunk of papers, then write their reports; returns a
-    (result, error) pair per paper. A report that cannot be written fails
-    its paper. The reports are written together after the last paper,
-    which measured faster than writing each right after its paper."""
-    classified = [classify_file(meta, bundle, config) for meta in metas]
-    rows = []
-    for meta, (result, report, error) in zip(metas, classified):
-        if error is None and reports_dir is not None:
-            try:
-                (reports_dir / f"{meta.paper_id}.txt").write_text(report, encoding="utf-8")
-            except OSError as exc:
-                result, error = None, _failure(meta, exc)
-        rows.append((result, error))
-    return rows
+) -> tuple[CorpusResult | None, str | None]:
+    """Classify one paper and write its report; returns (result, error).
+    A report that cannot be written fails its paper."""
+    result, report, error = classify_file(meta, bundle, config)
+    if error is None and reports_dir is not None:
+        try:
+            (reports_dir / f"{meta.paper_id}.txt").write_text(report, encoding="utf-8")
+        except OSError as exc:
+            return None, _failure(meta, exc)
+    return result, error
 
 
 _WORKER_ARGS: tuple[list[AnalyzerSpec], RunConfig, Path | None] | None = None
@@ -165,8 +158,8 @@ def _init_worker(bundle: list[AnalyzerSpec], config: RunConfig, reports_dir: Pat
     _WORKER_ARGS = (bundle, config, reports_dir)
 
 
-def _worker(metas: list[SourceMeta]) -> list[tuple[CorpusResult | None, str | None]]:
-    return _classify_chunk(metas, *_WORKER_ARGS)
+def _worker(meta: SourceMeta) -> tuple[CorpusResult | None, str | None]:
+    return _classify_and_write(meta, *_WORKER_ARGS)
 
 
 def run_corpus(
@@ -180,27 +173,23 @@ def run_corpus(
     `reports_dir/<paper_id>.txt` (no reports when it is None); returns
     (meta, result, error) rows in manifest order, whatever `jobs` is.
 
-    The manifest is cut into chunks of len(metas) // (jobs *
-    CHUNKS_PER_WORKER) consecutive papers, at least one. One process
-    classifies a chunk and then writes its reports: this one when a single
-    worker suffices, else one of a forked pool of min(jobs, chunks) workers.
-    Only results and errors come back, never report text."""
+    The process that classifies a paper writes its report, so only results
+    and errors come back, never report text. A single worker is this
+    process. Otherwise a forked pool of min(jobs, chunks) workers takes the
+    manifest in chunks of len(metas) // (jobs * CHUNKS_PER_WORKER)
+    consecutive papers, at least one."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     size = max(1, len(metas) // (jobs * CHUNKS_PER_WORKER))
-    chunks = [metas[i:i + size] for i in range(0, len(metas), size)]
-    workers = min(jobs, len(chunks))
+    workers = min(jobs, math.ceil(len(metas) / size))
     if workers <= 1:
-        parts = [_classify_chunk(chunk, bundle, config, reports_dir) for chunk in chunks]
+        rows = [_classify_and_write(meta, bundle, config, reports_dir) for meta in metas]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(bundle, config, reports_dir)
         ) as pool:
-            parts = list(pool.map(_worker, chunks))
-    return [
-        (meta, result, error)
-        for meta, (result, error) in zip(metas, (row for part in parts for row in part))
-    ]
+            rows = list(pool.map(_worker, metas, chunksize=size))
+    return [(meta, result, error) for meta, (result, error) in zip(metas, rows)]
 
 
 def emit_csv(results: list[CorpusResult], tags: list[str]) -> str:

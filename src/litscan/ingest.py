@@ -27,7 +27,7 @@ STATUS_SKIPPED_SHORT = "skipped_short"
 STATUS_EXCLUDED_SECONDARY = "excluded_secondary"
 
 DEFAULT_SHORT_THRESHOLD = 4000
-DEFAULT_CONVERTER_TIMEOUT = 300.0  # seconds
+CONVERTER_TIMEOUT = 300  # seconds a converter may run on one paper
 
 # apostrophes (straight and typographic), soft hyphen, zero-width space
 _DROPPED = "'’\xad\u200b"
@@ -278,21 +278,17 @@ def load_manifest(path: str | Path) -> list[SourceMeta]:
     return metas
 
 
-def read_raw_text(
-    meta: SourceMeta, converter: str | None = None, timeout: float = DEFAULT_CONVERTER_TIMEOUT
-) -> str:
+def read_raw_text(meta: SourceMeta, converter: str | None = None) -> str:
     """Fetch a paper's raw text, optionally through an external converter
     command template with an {input} placeholder (stdout is taken as the
-    text). A converter still running after `timeout` seconds is killed and
-    subprocess.TimeoutExpired raised."""
+    text). A converter still running after CONVERTER_TIMEOUT seconds is
+    killed and subprocess.TimeoutExpired raised."""
     if converter is None:
         return Path(meta.path).read_text(encoding="utf-8", errors="replace")
     argv = [tok.replace("{input}", meta.path) for tok in shlex.split(converter)]
-    proc = subprocess.run(argv, capture_output=True, check=True, timeout=timeout)
+    proc = subprocess.run(argv, capture_output=True, check=True, timeout=CONVERTER_TIMEOUT)
     return proc.stdout.decode("utf-8", errors="replace")
 
 
-def load_document(
-    meta: SourceMeta, converter: str | None = None, timeout: float = DEFAULT_CONVERTER_TIMEOUT
-) -> DocumentText:
-    return make_document(meta, read_raw_text(meta, converter, timeout))
+def load_document(meta: SourceMeta, converter: str | None = None) -> DocumentText:
+    return make_document(meta, read_raw_text(meta, converter))

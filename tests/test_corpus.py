@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 from conftest import ANALYZER_DIR, filler, make_doc
-from litscan import corpus, matching
+from litscan import corpus, ingest, matching
 from litscan.cli import main
 from litscan.corpus import (
     CorpusResult,
@@ -318,13 +318,13 @@ def test_jobs_parity_mini(tmp_path):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    tasks in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor: records (max_workers, chunksize)
+    and runs the tasks in this process, so no worker is ever started."""
 
-    workers: list[int] = []
+    calls: list[tuple[int, int]] = []
 
     def __init__(self, max_workers, initializer, initargs):
-        self.workers.append(max_workers)
+        self.max_workers = max_workers
         initializer(*initargs)
 
     def __enter__(self):
@@ -333,20 +333,26 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
+    def map(self, fn, iterable, chunksize):
+        self.calls.append((self.max_workers, chunksize))
         return map(fn, iterable)
 
 
-def test_pool_has_no_more_workers_than_chunks(bundle, tmp_path, monkeypatch):
+def _record_pools(monkeypatch) -> list[tuple[int, int]]:
     monkeypatch.setattr(corpus, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(corpus, "_WORKER_ARGS", None)  # restored after the recorder sets it
-    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    return _RecordingPool.calls
+
+
+def test_pool_has_no_more_workers_than_chunks(bundle, tmp_path, monkeypatch):
+    calls = _record_pools(monkeypatch)
     texts = {f"p{i}": "We used a Student's t-test. " + " ".join(filler(60, seed=i)) for i in range(3)}
     metas = load_manifest(_write_corpus(tmp_path, texts))
     config = RunConfig(short_threshold=10)
 
     rows = run_corpus(metas, bundle, config, tmp_path, jobs=64)
-    assert _RecordingPool.workers == [3]
+    assert calls == [(3, 1)]
     assert [meta.paper_id for meta, _, _ in rows] == ["p0", "p1", "p2"]
     assert all(result is not None and error is None for _, result, error in rows)
     assert sorted(p.name for p in tmp_path.glob("p*.txt")) == ["p0.txt", "p1.txt", "p2.txt"]
@@ -354,45 +360,34 @@ def test_pool_has_no_more_workers_than_chunks(bundle, tmp_path, monkeypatch):
     assert run_corpus([], bundle, config, None, jobs=4) == []  # an empty manifest starts no pool
     assert len(run_corpus(metas[:1], bundle, config, None, jobs=4)) == 1  # one chunk runs here
     assert len(run_corpus(metas, bundle, config, None, jobs=1)) == 3
-    assert _RecordingPool.workers == [3]
+    assert calls == [(3, 1)]
 
 
-def test_chunks_cover_the_manifest_in_order(bundle, tmp_path, monkeypatch):
-    chunks = []
-    real = corpus._classify_chunk
-
-    def record(metas, *args):
-        chunks.append([m.paper_id for m in metas])
-        return real(metas, *args)
-
-    monkeypatch.setattr(corpus, "_classify_chunk", record)
-    metas = [SourceMeta(f"m{i}", "J", 2011, str(tmp_path / f"m{i}.txt")) for i in range(20)]
-    rows = run_corpus(metas, bundle, RunConfig(), None, jobs=1)
-    size = max(1, 20 // corpus.CHUNKS_PER_WORKER)
-    assert [pid for chunk in chunks for pid in chunk] == [m.paper_id for m in metas]
-    assert all(len(chunk) == size for chunk in chunks[:-1]) and 0 < len(chunks[-1]) <= size
+def test_pool_takes_the_manifest_in_chunks(bundle, tmp_path, monkeypatch):
+    calls = _record_pools(monkeypatch)
+    metas = [SourceMeta(f"m{i}", "J", 2011, str(tmp_path / f"m{i}.txt")) for i in range(40)]
+    rows = run_corpus(metas, bundle, RunConfig(), tmp_path, jobs=2)
+    assert calls == [(2, 40 // (2 * corpus.CHUNKS_PER_WORKER))]
     assert [meta for meta, _, _ in rows] == metas
     assert all(result is None and f"m{i}: FileNotFoundError" in error
                for i, (_, result, error) in enumerate(rows))
 
 
-def test_cli_rejects_jobs_and_converter_timeout_below_one(tmp_path, capsys):
+def test_cli_rejects_jobs_below_one(tmp_path, capsys):
     manifest = _write_corpus(tmp_path, {"a": " ".join(filler(60))})
-    base = ["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
-            "--out", str(tmp_path / "out")]
-    assert main(base + ["--jobs", "0"]) == 1
-    assert "error: --jobs must be positive" in capsys.readouterr().err
-    assert main(base + ["--converter-timeout", "0"]) == 1
-    assert "error: --converter-timeout must be positive" in capsys.readouterr().err
+    assert main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+                 "--out", str(tmp_path / "out"), "--jobs", "0"]) == 1
+    assert "error: --jobs must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_converter_timeout_fails_only_its_paper(tmp_path):
+def test_cli_converter_timeout_fails_only_its_paper(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "CONVERTER_TIMEOUT", 0.5)
     manifest = _write_corpus(tmp_path, {"slow": "placeholder"})
     out = tmp_path / "out"
     started = time.perf_counter()
     rc = main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
-               "--out", str(out), "--converter", "sleep 5", "--converter-timeout", "0.5"])
+               "--out", str(out), "--converter", "sleep 5"])
     assert time.perf_counter() - started < 4.0  # the converter was killed, not waited for
     assert rc == 2
     errors = _csv_rows(out / "errors.csv")
