@@ -102,6 +102,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     (out / "aggregates.csv").write_text(
         aggregates_csv(aggregate(results), tags), encoding="utf-8", newline=""
     )
+    # errors.csv exists only when this run had failures, whatever an earlier run left in --out
+    (out / "errors.csv").unlink(missing_ok=True)
     if errors:
         with open(out / "errors.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\r\n")

@@ -104,11 +104,14 @@ class AnalyzerSpec:
     tags: tuple[str, ...]
     region_fraction: float = 1.0
     mode: str = "classify"  # "classify" | "exclude"
-    # derived from `synonyms`
+    # derived: `synonyms` normalized, and every candidate term of the examples
     normalized_synonyms: tuple[str, ...] = field(init=False, repr=False)
+    terms: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "normalized_synonyms", tuple(normalize_phrase(s) for s in self.synonyms))
+        terms = (t for ex in self.positives + self.negatives for t in self.candidate_terms(ex))
+        object.__setattr__(self, "terms", tuple(dict.fromkeys(terms)))
 
     def candidate_terms(self, example: ExampleTemplate) -> tuple[str, ...]:
         """Normalized search terms for one example: its primary plus every

@@ -18,15 +18,18 @@ budget anchors on a suffix of at least MIN_PIECE characters (or on all of
 a shorter term) and is checked whole.
 
 The exact occurrences of every piece of a group of analyzers are found
-together: the pieces are compiled once into one trie-shaped regex whose
-longest match at a position names every piece that starts there, and one
-search loop over the group's region records them all. The regex engine only
-tries positions whose character can begin a piece, so the pieces of a group
-begin with as few and as rare characters as its terms allow: starting from
-every character of the terms, the commonest (by LETTER_ORDER) are dropped
-while every term can still place its pieces on the letters left, and each
-term then takes its longest pieces on them. A term searched for on its own
-is a group of one.
+together: the pieces with the same first character are compiled once into a
+trie-shaped regex whose longest match at a position names every piece that
+starts there, and one search loop per regex over the group's region records
+them all. Each regex opens with its literal character, which the regex
+engine skips to in C, so it only tries the positions holding it; the pieces
+of a group therefore begin with as few and as rare characters as its terms
+allow: starting from every character of the terms, the commonest (by
+LETTER_ORDER) are dropped while every term can still place its pieces on the
+letters left, and each term then takes its longest pieces on them. A term
+searched for on its own is a group of one. A term none of whose pieces
+occurs cannot match, so the scan also names the terms it hit, and only those
+are searched.
 
 A candidate span is first tested the same way, by string comparisons that
 run in C: the part of the term on the edit's side of the piece is cut once
@@ -215,54 +218,62 @@ def _trie_pattern(pieces: set[str]) -> str:
 
 
 class PieceStarts(dict[str, list[int]]):
-    """piece -> its start positions in a scanned range, in any order.
+    """piece -> its start positions in a scanned range, ascending.
     `layouts` maps each term whose pieces were scanned for to the layout
-    they were cut by, so that `find_term` uses the same pieces."""
+    they were cut by, so that `find_term` uses the same pieces. `hit` holds
+    the terms with at least one piece start in the range; `find_term` finds
+    nothing for any other term."""
 
     def __init__(self, layouts: Mapping[str, Layout]):
         super().__init__()
         self.layouts = layouts
+        self.hit: set[str] = set()
 
 
 class PieceScanner:
     """Finds every start of the pieces of a set of terms ((term, fuzzy)
-    pairs) in one regex search loop, overlapping starts included. The pieces
-    begin with the start letters chosen for the terms together."""
+    pairs), overlapping starts included, with one regex search loop per
+    first character of the pieces. The pieces begin with the start letters
+    chosen for the terms together."""
 
     def __init__(self, terms: Iterable[tuple[str, bool]]):
         terms = set(terms)
         letters = _start_letters(terms)
         self.layouts = {term: _layout(term, fuzzy, letters) for term, fuzzy in terms}
-        pieces = {p for term, layout in self.layouts.items() for p in _pieces(term, layout)}
-        self._pattern = re.compile(_trie_pattern(pieces)) if pieces else None
+        self._terms_of: dict[str, list[str]] = {}  # piece -> the terms it is cut from
+        for term, layout in self.layouts.items():
+            for piece in _pieces(term, layout):
+                self._terms_of.setdefault(piece, []).append(term)
+        by_letter: dict[str, set[str]] = {}
+        for piece in self._terms_of:
+            by_letter.setdefault(piece[0], set()).add(piece)
+        # each pattern opens with a literal character, which `re` skips to in C
+        self._searches = [re.compile(_trie_pattern(by_letter[ch])).search for ch in sorted(by_letter)]
         # a hit on the longest piece at a position is a hit on each piece that is its prefix
         self._prefixes = {
-            p: tuple(p[:i] for i in range(1, len(p) + 1) if p[:i] in pieces) for p in pieces
+            p: tuple(p[:i] for i in range(1, len(p) + 1) if p[:i] in self._terms_of) for p in self._terms_of
         }
 
     def scan(self, text: str, lo: int, hi: int) -> PieceStarts:
-        """The starts of every piece lying wholly inside text[lo:hi]."""
+        """The starts of every piece lying wholly inside text[lo:hi]. Only
+        one pattern can match at a position, the one for its character, so
+        each piece's starts come from one loop and stay ascending."""
         starts = PieceStarts(self.layouts)
-        if self._pattern is None:
-            return starts
-        search, prefixes = self._pattern.search, self._prefixes
-        m = search(text, lo, hi)
-        while m:
-            s = m.start()
-            for piece in prefixes[m.group()]:
-                starts.setdefault(piece, []).append(s)
-            m = search(text, s + 1, hi)
+        prefixes = self._prefixes
+        for search in self._searches:
+            m = search(text, lo, hi)
+            while m:
+                s = m.start()
+                for piece in prefixes[m.group()]:
+                    starts.setdefault(piece, []).append(s)
+                m = search(text, s + 1, hi)
+        starts.hit = {term for piece in starts for term in self._terms_of[piece]}
         return starts
 
 
 @functools.lru_cache(maxsize=128)
 def _group_scanner(specs: tuple[AnalyzerSpec, ...], max_edits: int, fuzzy_min_len: int) -> PieceScanner:
-    return PieceScanner(
-        (term, _fuzzy(term, max_edits, fuzzy_min_len))
-        for spec in specs
-        for example in spec.positives + spec.negatives
-        for term in spec.candidate_terms(example)
-    )
+    return PieceScanner((term, _fuzzy(term, max_edits, fuzzy_min_len)) for spec in specs for term in spec.terms)
 
 
 def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], config: MatchConfig) -> PieceStarts:
@@ -445,7 +456,9 @@ def run_analyzer(
     searched inside the analyzer's region; a term shared by several examples
     is searched once per call. `piece_starts` comes from `scan_pieces` over a
     group of analyzers that includes this one; without it the analyzer's own
-    pieces are scanned for.
+    pieces are scanned for. Only the terms in its `hit` set are searched, as
+    no other term can match; an analyzer with none of its terms hit returns
+    nothing at once.
 
     One stretch of text is one piece of evidence: a span contained in a
     longer span from the same example's term set is dropped, so "t test"
@@ -461,6 +474,9 @@ def run_analyzer(
     text = doc.normalized
     if piece_starts is None:
         piece_starts = scan_pieces(doc, (spec,), config)
+    hit = piece_starts.hit
+    if hit.isdisjoint(spec.terms):
+        return []
     spans_of: dict[str, list[Region]] = {}
     matches: list[EvidenceMatch] = []
     for polarity, examples in ((POSITIVE, spec.positives), (NEGATIVE, spec.negatives)):
@@ -469,8 +485,10 @@ def run_analyzer(
             for term in spec.candidate_terms(example):
                 spans = spans_of.get(term)
                 if spans is None:
-                    spans = spans_of[term] = find_term(
-                        text, region, term, config.max_edits, config.fuzzy_min_len, piece_starts
+                    spans = spans_of[term] = (
+                        find_term(text, region, term, config.max_edits, config.fuzzy_min_len, piece_starts)
+                        if term in hit
+                        else []
                     )
                 for span in spans:
                     by_span.setdefault(span, term)

@@ -256,6 +256,21 @@ def test_cli_partial_failure_exit_code(tmp_path):
     assert (out / "errors.csv").exists()
 
 
+def test_cli_clean_rerun_removes_stale_errors_csv(tmp_path):
+    manifest = _write_corpus(tmp_path, {"ok": "We used a Student's t-test. " + " ".join(filler(80))})
+    clean = manifest.read_text(encoding="utf-8")
+    manifest.write_text(clean + "gone,EMSE,2011,docs/missing.txt\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR), "--out", str(out),
+            "--short-threshold", "10"]
+    assert main(argv) == 2
+    assert [row[0] for row in _csv_rows(out / "errors.csv")] == ["paper_id", "gone"]
+    manifest.write_text(clean, encoding="utf-8")
+    assert main(argv) == 0
+    assert not (out / "errors.csv").exists()
+    assert [row[0] for row in _csv_rows(out / "results.csv")] == ["paper_id", "ok"]
+
+
 def test_cli_classification_failure_costs_only_its_paper(tmp_path, monkeypatch):
     texts = {pid: f"We used a Student's t-test in {pid}. " + " ".join(filler(90, seed=i))
              for i, pid in enumerate(("good1", "bad", "good2"))}

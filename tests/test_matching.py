@@ -13,6 +13,7 @@ from litscan.matching import (
     EvidenceMatch,
     MatchConfig,
     PieceScanner,
+    PieceStarts,
     _one_edit_distance,
     _pieces,
     apply_skips,
@@ -207,6 +208,12 @@ def _assert_scan_equals_oracle(text, lo, hi, terms):
     for piece in pieces:
         assert got.get(piece, []) == exact_starts(text, lo, hi, piece), piece
     assert set(got) <= pieces
+    hit = {
+        term
+        for term, layout in scanner.layouts.items()
+        if any(exact_starts(text, lo, hi, p) for p in _pieces(term, layout))
+    }
+    assert got.hit == hit
     return got
 
 
@@ -259,8 +266,24 @@ def test_scan_end_cuts_off_a_longer_piece_but_keeps_its_prefix():
     assert find_term(text, Region(0, 6), "abcd", 0) == []
 
 
+def test_a_piece_hit_only_as_a_prefix_still_hits_its_term():
+    text = "xx abcd yy"
+    terms = [("ab", False), ("abcd", False)]
+    starts = _assert_scan_equals_oracle(text, 0, len(text), terms)
+    assert starts.layouts == {"ab": (0, 0, 0), "abcd": (0, 0, 0)}
+    assert starts == {"ab": [3], "abcd": [3]}  # the regex matched only "abcd"
+    assert starts.hit == {"ab", "abcd"}
+    region = Region(0, len(text))
+    assert find_term(text, region, "ab", 0, 8, starts) == [Region(3, 5)]
+    assert find_term(text, region, "abcd", 0, 8, starts) == [Region(3, 7)]
+    spec = parse_analyzer("analyzer: nested\ntags: t\n\n[positive]\n[[[ab]]]\n[[[abcd]]]\n")
+    matches = run_analyzer(make_doc(text), spec, MatchConfig())
+    assert [(m.matched_term, m.span) for m in matches] == [("ab", Region(3, 5)), ("abcd", Region(3, 7))]
+
+
 def test_scanner_without_pieces_finds_nothing():
-    assert PieceScanner([]).scan("any text", 0, 8) == {}
+    starts = PieceScanner([]).scan("any text", 0, 8)
+    assert starts == {} and starts.hit == set()
 
 
 def test_a_term_missing_from_the_scan_is_an_error():
@@ -332,6 +355,45 @@ def test_two_character_terms_match_within_one_edit():
         assert exact in got
     assert Region(5, 7) in find_term(text, region, "xy", 1, 2, starts)  # the swap "yx"
     assert run_analyzer(doc, spec, config)
+
+
+def _every_term_hit(starts: PieceStarts) -> PieceStarts:
+    """The same piece starts with every scanned term marked hit, so that
+    run_analyzer calls find_term for every term."""
+    every = PieceStarts(starts.layouts)
+    every.update(starts)
+    every.hit = set(starts.layouts)
+    return every
+
+
+def _bundle_vocabulary(bundle) -> list[str]:
+    """Words, halves and one-edit variants of the bundle's terms, its
+    supports, and filler, to build documents near its matches from."""
+    vocab = set(filler(40))
+    for spec in bundle:
+        for term in spec.terms:
+            mid = len(term) // 2
+            vocab.update(term.split())
+            vocab.update((term, term[:mid], term[mid:], term[:mid] + term[mid + 1 :]))
+            vocab.add(term[: mid - 1] + term[mid] + term[mid - 1] + term[mid + 1 :])
+        for example in spec.positives + spec.negatives:
+            vocab.update(example.normalized_supports)
+    return sorted(vocab)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_run_analyzer_on_hit_terms_equals_searching_every_term(bundle, match_config, data):
+    vocab = _bundle_vocabulary(bundle)
+    doc = make_doc(" ".join(data.draw(st.lists(st.sampled_from(vocab), max_size=60))))
+    for mode in ("exclude", "classify"):
+        group = [spec for spec in bundle if spec.mode == mode]
+        starts = scan_pieces(doc, group, match_config)
+        every = _every_term_hit(starts)
+        for spec in group:
+            got = run_analyzer(doc, spec, match_config, starts)
+            assert got == run_analyzer(doc, spec, match_config, every), spec.name
+            assert got == run_analyzer(doc, spec, match_config), spec.name
 
 
 # --- find_supports ----------------------------------------------------------
