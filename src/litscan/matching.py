@@ -277,7 +277,7 @@ def _group_scanner(specs: tuple[AnalyzerSpec, ...], max_edits: int, fuzzy_min_le
 
 
 def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], config: MatchConfig) -> PieceStarts:
-    """The starts of every piece of the analyzers' terms, in one pass over
+    """The starts of every piece of the analyzers' terms, in one scan of
     the furthest of their regions. The scanner, and with it the group's start
     letters, is built on the first call for a given group and config, and
     reused after."""

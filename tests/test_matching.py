@@ -357,12 +357,13 @@ def test_two_character_terms_match_within_one_edit():
     assert run_analyzer(doc, spec, config)
 
 
-def _every_term_hit(starts: PieceStarts) -> PieceStarts:
-    """The same piece starts with every scanned term marked hit, so that
-    run_analyzer calls find_term for every term."""
+def _every_term_hit(starts: PieceStarts, group) -> PieceStarts:
+    """The same piece starts with every candidate term of the group's
+    examples marked hit, so that run_analyzer calls find_term for every term
+    (and find_term raises KeyError for a term the scan left out)."""
     every = PieceStarts(starts.layouts)
     every.update(starts)
-    every.hit = set(starts.layouts)
+    every.hit = {t for spec in group for ex in spec.positives + spec.negatives for t in spec.candidate_terms(ex)}
     return every
 
 
@@ -389,7 +390,7 @@ def test_run_analyzer_on_hit_terms_equals_searching_every_term(bundle, match_con
     for mode in ("exclude", "classify"):
         group = [spec for spec in bundle if spec.mode == mode]
         starts = scan_pieces(doc, group, match_config)
-        every = _every_term_hit(starts)
+        every = _every_term_hit(starts, group)
         for spec in group:
             got = run_analyzer(doc, spec, match_config, starts)
             assert got == run_analyzer(doc, spec, match_config, every), spec.name
