@@ -27,16 +27,21 @@ of a group therefore begin with as few and as rare characters as its terms
 allow: starting from every character of the terms, the commonest (by
 LETTER_ORDER) are dropped while every term can still place its pieces on the
 letters left, and each term then takes its longest pieces on them. A term
-searched for on its own is a group of one. A term none of whose pieces
-occurs cannot match, so the scan also names the terms it hit, and only those
-are searched.
+searched for on its own is a group of one.
 
-A candidate span is first tested the same way, by string comparisons that
-run in C: the part of the term on the edit's side of the piece is cut once
-more around a gap, and one of its two parts must sit whole at its place.
-Each candidate that passes is verified once by a first-mismatch test: past
-the common prefix, what is left must be equal outright (an exact match) or
-after one substitution, one insertion or deletion, or one adjacent swap.
+In near-miss prose most piece hits can begin or end no span, so each hit is
+tested where it is found, inside the regex and so in C. The part of the term
+on the edit's side of the piece is cut around gaps into parts that share the
+gap characters; the edit lies within one part, so the term must sit whole on
+both sides of some part, which lookarounds at the piece's end check. A hit
+that fails is not recorded, and a term with no recorded hit cannot match: the
+scan names the terms it hit, and only those are searched.
+
+`find_term` tests each candidate span the same way, with one cut, by string
+comparisons that also run in C, and verifies each candidate that passes once
+by a first-mismatch test: past the common prefix, what is left must be equal
+outright (an exact match) or after one substitution, one insertion or
+deletion, or one adjacent swap.
 """
 
 import functools
@@ -196,33 +201,81 @@ def _start_letters(terms: set[tuple[str, bool]]) -> frozenset[str]:
     return letters
 
 
-def _trie_pattern(pieces: set[str]) -> str:
-    """A regex alternation nested by shared prefix. At every node the text
-    picks at most one branch, and a node where a piece ends is an optional
-    group tried first, so the match at a position is the longest piece that
-    starts there."""
+def _cases(x: int, y: int, cuts: Iterable[int]) -> list[tuple[int, int]]:
+    """(p, q) pairs for an edit that lies in term[x:y]. The cuts split that
+    range into parts, and neighbouring parts share the character at their
+    cut. One edit, an adjacent swap included, lies within one part, so for
+    some pair the span begins with term[:p] and ends with term[q:]."""
+    bounds = sorted({x, *cuts})
+    return [(u, v + 1) for u, v in zip(bounds, bounds[1:])] + [(bounds[-1], y)]
+
+
+def _piece_tests(term: str, layout: Layout) -> dict[str, str]:
+    """Each piece of the term -> a regex of lookarounds, matched where the
+    piece ends, that a hit of the piece passes when a span of the term can
+    begin or end there; "" when every hit passes. It is the split test of
+    `find_term` with the edit's side of the term cut once more."""
+    a, b, c = layout
+    length = len(term)
+    if a == b:  # the suffix of a term with no edit budget: the whole term ends here
+        return {term[c:]: f"(?<={re.escape(term[:c])}.{{{length - c}}})" if c else ""}
+    if b == c:  # a 2-character term
+        return dict.fromkeys(_pieces(term, layout), "")
+    # A start-piece hit ends at the span's start + b, and the edit lies in
+    # term[b:]: cut it at find_term's m and each half again. Each case looks
+    # ahead for the rest of term[:p], then for term[q:] ending the span at
+    # one of its three lengths.
+    m = (b + length) // 2
+    ahead = [
+        re.escape(term[b:p]) + (f".{{{q - p - 1},{q - p + 1}}}{re.escape(term[q:])}" if q < length else "")
+        for p, q in _cases(b, length, ((b + m) // 2, m, (m + length) // 2))
+    ]
+    start = (f"(?<={re.escape(term[:a])}.{{{b - a}}})" if a else "") + f"(?={'|'.join(ahead)})"
+    # An end-piece hit ends where the span does, and the edit lies in
+    # term[:c]: cut it at find_term's k. Finding term[:p] at the span's start
+    # takes one lookbehind per span length, so only the half that needs none
+    # is cut again. Each case looks behind for term[q:c] before the piece,
+    # then for term[:p].
+    k = c // 2
+    behind = []
+    for p, q in _cases(0, c, (k // 2, k)):
+        tail = f"(?<={re.escape(term[q:c])}.{{{length - c}}})" if q < c else ""
+        if p:
+            lead = "|".join(f"(?<={re.escape(term[:p])}.{{{n - p}}})" for n in (length - 1, length, length + 1))
+            tail = f"{tail}(?:{lead})" if tail else lead
+        behind.append(tail)
+    return {term[a:b]: start, term[c:]: "|".join(behind) if all(behind) else ""}
+
+
+def _trie_pattern(tests: Mapping[str, str]) -> str:
+    """A regex alternation of the pieces in `tests`, nested by shared
+    prefix. At every node the text picks at most one branch, and where a
+    piece ends its test is the last branch, so the match at a position is the
+    longest piece that starts there and passes its test."""
     trie: dict = {}
-    for piece in pieces:
+    for piece, test in tests.items():
         node = trie
         for ch in piece:
             node = node.setdefault(ch, {})
-        node[""] = {}  # a piece ends here
+        node[""] = test  # a piece ends here
 
     def alternation(node: dict) -> str:
         branches = [re.escape(ch) + alternation(child) for ch, child in sorted(node.items()) if ch]
         if "" in node:
-            return f"(?:{'|'.join(branches)})?" if branches else ""
-        return branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
+            branches.append(node[""])
+        return f"(?:{'|'.join(branches)})" if len(branches) > 1 or "" in node else branches[0]
 
     return alternation(trie)
 
 
 class PieceStarts(dict[str, list[int]]):
-    """piece -> its start positions in a scanned range, ascending.
-    `layouts` maps each term whose pieces were scanned for to the layout
-    they were cut by, so that `find_term` uses the same pieces. `hit` holds
-    the terms with at least one piece start in the range; `find_term` finds
-    nothing for any other term."""
+    """piece -> the start positions of its hits in a scanned range that
+    passed the scan's tests, ascending: a subset of its exact starts that
+    holds every start a span of its terms can be built from. `layouts` maps
+    each term whose pieces were scanned for to the layout they were cut by,
+    so that `find_term` uses the same pieces. `hit` holds the terms with at
+    least one piece start recorded; `find_term` finds nothing for any other
+    term."""
 
     def __init__(self, layouts: Mapping[str, Layout]):
         super().__init__()
@@ -231,33 +284,39 @@ class PieceStarts(dict[str, list[int]]):
 
 
 class PieceScanner:
-    """Finds every start of the pieces of a set of terms ((term, fuzzy)
+    """Finds the starts of the pieces of a set of terms ((term, fuzzy)
     pairs), overlapping starts included, with one regex search loop per
     first character of the pieces. The pieces begin with the start letters
-    chosen for the terms together."""
+    chosen for the terms together, and a start is kept only where its piece
+    passes the test of at least one term it is cut from, or is a prefix of
+    a kept piece."""
 
     def __init__(self, terms: Iterable[tuple[str, bool]]):
         terms = set(terms)
         letters = _start_letters(terms)
         self.layouts = {term: _layout(term, fuzzy, letters) for term, fuzzy in terms}
         self._terms_of: dict[str, list[str]] = {}  # piece -> the terms it is cut from
+        tests: dict[str, set[str]] = {}  # piece -> its test for each term it is cut from
         for term, layout in self.layouts.items():
-            for piece in _pieces(term, layout):
+            for piece, test in _piece_tests(term, layout).items():
                 self._terms_of.setdefault(piece, []).append(term)
-        by_letter: dict[str, set[str]] = {}
-        for piece in self._terms_of:
-            by_letter.setdefault(piece[0], set()).add(piece)
+                tests.setdefault(piece, set()).add(test)
+        by_letter: dict[str, dict[str, str]] = {}
+        for piece, either in tests.items():  # a hit passes one term's test; any hit passes ""
+            by_letter.setdefault(piece[0], {})[piece] = "" if "" in either else "|".join(sorted(either))
         # each pattern opens with a literal character, which `re` skips to in C
-        self._searches = [re.compile(_trie_pattern(by_letter[ch])).search for ch in sorted(by_letter)]
+        self._searches = [re.compile(_trie_pattern(by_letter[ch]), re.S).search for ch in sorted(by_letter)]
         # a hit on the longest piece at a position is a hit on each piece that is its prefix
         self._prefixes = {
             p: tuple(p[:i] for i in range(1, len(p) + 1) if p[:i] in self._terms_of) for p in self._terms_of
         }
 
     def scan(self, text: str, lo: int, hi: int) -> PieceStarts:
-        """The starts of every piece lying wholly inside text[lo:hi]. Only
-        one pattern can match at a position, the one for its character, so
-        each piece's starts come from one loop and stay ascending."""
+        """The starts of the pieces lying wholly inside text[lo:hi] whose
+        hits pass their tests; every start from which a span inside
+        text[lo:hi] can be built is among them. Only one pattern can match
+        at a position, the one for its character, so each piece's starts
+        come from one loop and stay ascending."""
         starts = PieceStarts(self.layouts)
         prefixes = self._prefixes
         for search in self._searches:
@@ -277,8 +336,8 @@ def _group_scanner(specs: tuple[AnalyzerSpec, ...], max_edits: int, fuzzy_min_le
 
 
 def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], config: MatchConfig) -> PieceStarts:
-    """The starts of every piece of the analyzers' terms, in one scan of
-    the furthest of their regions. The scanner, and with it the group's start
+    """The starts of the pieces of the analyzers' terms from which a span
+    can be built, in one scan of the furthest of their regions. The scanner, and with it the group's start
     letters, is built on the first call for a given group and config, and
     reused after."""
     end = max((prefix_region(doc, spec.region_fraction).end for spec in specs), default=0)
@@ -301,7 +360,9 @@ def find_term(
     `piece_starts` holds the starts of the term's pieces in a range covering
     `region`, as `scan_pieces` gives them for a group of analyzers, with the
     layout the term's pieces were cut by; a term it has no layout for raises
-    KeyError. Without it the term's own pieces are chosen and scanned for.
+    KeyError. Those are only the starts whose hits passed the scan's tests,
+    which every start a span can be built from does. Without it the term's
+    own pieces are chosen and scanned for, by the same filtered scan.
 
     With E = 0 a hit of the suffix term[c:] at q proposes the span starting
     at q - c. With E = 1 a hit of the start piece term[a:b] at q proposes

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .corpus import CorpusResult, RunConfig, classify_paper
 from .dsl import AnalyzerSpec
-from .ingest import STATUS_ANALYZED, SourceMeta, make_document
+from .ingest import STATUS_ANALYZED, SourceMeta, load_document
 from .scoring import VERDICT_NEGATIVE, VERDICT_NONE, VERDICT_POSITIVE
 
 LABEL_PRESENT = "present"
@@ -162,7 +162,7 @@ def regression_check(
             raise FileNotFoundError(f"missing expectation file {expected_path}")
         expected = _load_expected(expected_path)
         meta = SourceMeta(paper_id=fixture.stem, journal="regression", year=2000, path=str(fixture))
-        doc = make_document(meta, fixture.read_text(encoding="utf-8"))
+        doc = load_document(meta)  # undecodable bytes become U+FFFD, as in classify
         result, _ = classify_paper(doc, bundle, config)
         diffs: list[str] = []
         want_status = expected.pop("status", STATUS_ANALYZED)

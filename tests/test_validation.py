@@ -160,6 +160,16 @@ def test_regression_detects_wrong_expectation(bundle, tmp_path):
     assert any("expected negative, got positive" in line for line in lines)
 
 
+def test_regression_reads_an_undecodable_fixture_as_classify_does(bundle, tmp_path):
+    text = "We used a Student's t-test. \xff\xfe " + " ".join(filler(60))
+    (tmp_path / "bad-bytes.txt").write_bytes(text.encode("latin-1"))
+    expected = "parametric_test,positive\nquantitative_analysis,positive\nstatistical_test,positive\n"
+    (tmp_path / "bad-bytes.expected.csv").write_text(expected, encoding="utf-8")
+    ok, lines = regression_check(tmp_path, bundle, RunConfig())
+    assert ok, "\n".join(lines)
+    assert lines == ["PASS bad-bytes"]
+
+
 def test_regression_missing_expectation_file(bundle, tmp_path):
     (tmp_path / "orphan.txt").write_text("whatever", encoding="utf-8")
     with pytest.raises(FileNotFoundError, match="orphan.expected.csv"):
