@@ -337,9 +337,9 @@ def _group_scanner(specs: tuple[AnalyzerSpec, ...], max_edits: int, fuzzy_min_le
 
 def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], config: MatchConfig) -> PieceStarts:
     """The starts of the pieces of the analyzers' terms from which a span
-    can be built, in one scan of the furthest of their regions. The scanner, and with it the group's start
-    letters, is built on the first call for a given group and config, and
-    reused after."""
+    can be built, in one scan of the furthest of their regions. The
+    scanner, and with it the group's start letters, is built on the first
+    call for a given group and config, and reused after."""
     end = max((prefix_region(doc, spec.region_fraction).end for spec in specs), default=0)
     scanner = _group_scanner(tuple(specs), config.max_edits, config.fuzzy_min_len)
     return scanner.scan(doc.normalized, 0, end)
