@@ -31,16 +31,16 @@ searched for on its own is a group of one.
 
 In near-miss prose most piece hits can begin or end no span, so each hit is
 tested where it is found, inside the regex and so in C. The part of the term
-on the edit's side of the piece is cut around gaps into parts that share the
-gap characters; the edit lies within one part, so the term must sit whole on
-both sides of some part, which lookarounds at the piece's end check. A hit
-that fails is not recorded, and a term with no recorded hit cannot match: the
-scan names the terms it hit, and only those are searched.
+on the edit's side of the piece is cut at one of its characters; one edit,
+an adjacent swap included, leaves whole either the term before that
+character or the term after it, and lookarounds at the piece's end look for
+both. A hit that fails is not recorded, and a term with no recorded hit
+cannot match: the scan names the terms it hit, and only those are searched.
 
-`find_term` tests each candidate span the same way, with one cut, by string
-comparisons that also run in C, and verifies each candidate that passes once
-by a first-mismatch test: past the common prefix, what is left must be equal
-outright (an exact match) or after one substitution, one insertion or
+A candidate span is first tested the same way, per span length, by string
+comparisons that also run in C, and each candidate that passes is verified
+once by a first-mismatch test: past the common prefix, what is left must be
+equal outright (an exact match) or after one substitution, one insertion or
 deletion, or one adjacent swap.
 """
 
@@ -201,50 +201,35 @@ def _start_letters(terms: set[tuple[str, bool]]) -> frozenset[str]:
     return letters
 
 
-def _cases(x: int, y: int, cuts: Iterable[int]) -> list[tuple[int, int]]:
-    """(p, q) pairs for an edit that lies in term[x:y]. The cuts split that
-    range into parts, and neighbouring parts share the character at their
-    cut. One edit, an adjacent swap included, lies within one part, so for
-    some pair the span begins with term[:p] and ends with term[q:]."""
-    bounds = sorted({x, *cuts})
-    return [(u, v + 1) for u, v in zip(bounds, bounds[1:])] + [(bounds[-1], y)]
-
-
-def _piece_tests(term: str, layout: Layout) -> dict[str, str]:
-    """Each piece of the term -> a regex of lookarounds, matched where the
-    piece ends, that a hit of the piece passes when a span of the term can
-    begin or end there; "" when every hit passes. It is the split test of
-    `find_term` with the edit's side of the term cut once more."""
+def _piece_tests(term: str, layout: Layout) -> list[tuple[str, str]]:
+    """(piece, test) for each piece of the term, where the test is a regex
+    of lookarounds, matched where the piece ends, that a hit of the piece
+    passes when a span of the term can begin or end there; "" when every hit
+    passes. It is the split test of `find_term`. A term whose start and end
+    pieces are equal gives that piece both tests."""
     a, b, c = layout
     length = len(term)
     if a == b:  # the suffix of a term with no edit budget: the whole term ends here
-        return {term[c:]: f"(?<={re.escape(term[:c])}.{{{length - c}}})" if c else ""}
+        return [(term[c:], f"(?<={re.escape(term[:c])}.{{{length - c}}})" if c else "")]
     if b == c:  # a 2-character term
-        return dict.fromkeys(_pieces(term, layout), "")
+        return [(piece, "") for piece in _pieces(term, layout)]
     # A start-piece hit ends at the span's start + b, and the edit lies in
-    # term[b:]: cut it at find_term's m and each half again. Each case looks
-    # ahead for the rest of term[:p], then for term[q:] ending the span at
-    # one of its three lengths.
+    # term[b:], cut with a gap at find_term's m: term[b:m] follows the piece,
+    # or term[m + 1:] ends the span at one of its three lengths.
     m = (b + length) // 2
-    ahead = [
-        re.escape(term[b:p]) + (f".{{{q - p - 1},{q - p + 1}}}{re.escape(term[q:])}" if q < length else "")
-        for p, q in _cases(b, length, ((b + m) // 2, m, (m + length) // 2))
-    ]
-    start = (f"(?<={re.escape(term[:a])}.{{{b - a}}})" if a else "") + f"(?={'|'.join(ahead)})"
+    start = (f"(?<={re.escape(term[:a])}.{{{b - a}}})" if a else "") + (
+        f"(?={re.escape(term[b:m])}|.{{{m - b},{m - b + 2}}}{re.escape(term[m + 1 :])})"
+    )
     # An end-piece hit ends where the span does, and the edit lies in
-    # term[:c]: cut it at find_term's k. Finding term[:p] at the span's start
-    # takes one lookbehind per span length, so only the half that needs none
-    # is cut again. Each case looks behind for term[q:c] before the piece,
-    # then for term[:p].
+    # term[:c], cut with a gap at find_term's k: term[k + 1:c] precedes the
+    # piece, or term[:k] begins the span at one of its three lengths (one
+    # fixed-width lookbehind each).
     k = c // 2
-    behind = []
-    for p, q in _cases(0, c, (k // 2, k)):
-        tail = f"(?<={re.escape(term[q:c])}.{{{length - c}}})" if q < c else ""
-        if p:
-            lead = "|".join(f"(?<={re.escape(term[:p])}.{{{n - p}}})" for n in (length - 1, length, length + 1))
-            tail = f"{tail}(?:{lead})" if tail else lead
-        behind.append(tail)
-    return {term[a:b]: start, term[c:]: "|".join(behind) if all(behind) else ""}
+    end = ""
+    if k + 1 < c:
+        lead = (f"(?<={re.escape(term[:k])}.{{{n - k}}})" for n in (length - 1, length, length + 1))
+        end = "|".join((f"(?<={re.escape(term[k + 1 : c])}.{{{length - c}}})", *lead))
+    return [(term[a:b], start), (term[c:], end)]
 
 
 def _trie_pattern(tests: Mapping[str, str]) -> str:
@@ -295,14 +280,14 @@ class PieceScanner:
         terms = set(terms)
         letters = _start_letters(terms)
         self.layouts = {term: _layout(term, fuzzy, letters) for term, fuzzy in terms}
-        self._terms_of: dict[str, list[str]] = {}  # piece -> the terms it is cut from
-        tests: dict[str, set[str]] = {}  # piece -> its test for each term it is cut from
+        self._terms_of: dict[str, set[str]] = {}  # piece -> the terms it is cut from
+        tests: dict[str, set[str]] = {}  # piece -> its tests, for each term it is cut from
         for term, layout in self.layouts.items():
-            for piece, test in _piece_tests(term, layout).items():
-                self._terms_of.setdefault(piece, []).append(term)
+            for piece, test in _piece_tests(term, layout):
+                self._terms_of.setdefault(piece, set()).add(term)
                 tests.setdefault(piece, set()).add(test)
         by_letter: dict[str, dict[str, str]] = {}
-        for piece, either in tests.items():  # a hit passes one term's test; any hit passes ""
+        for piece, either in tests.items():  # a hit passes when one test does; any hit passes ""
             by_letter.setdefault(piece[0], {})[piece] = "" if "" in either else "|".join(sorted(either))
         # each pattern opens with a literal character, which `re` skips to in C
         self._searches = [re.compile(_trie_pattern(by_letter[ch]), re.S).search for ch in sorted(by_letter)]

@@ -291,15 +291,27 @@ def test_a_piece_hit_only_as_a_prefix_still_hits_its_term():
 
 
 def test_pieces_that_can_make_no_span_are_not_recorded():
-    # both pieces occur, but "power ana" runs on into "tomy", and the span
-    # that "ysis" would end begins with "th", not "po"
-    text = "their analysis of power anatomy"
+    # both pieces occur, but "power ana" runs on into "tomy", and "ysis"
+    # follows "ral", not "anal", in a span that does not begin with "power"
+    text = "paralysis of power anatomy"
     terms = [("power analysis", True)]
     scanner = PieceScanner(terms)
     pieces = _pieces("power analysis", scanner.layouts["power analysis"])
     assert all(exact_starts(text, 0, len(text), p) for p in pieces), pieces
     starts = _assert_scan_agrees_with_oracle(text, 0, len(text), terms)
     assert starts == {} and starts.hit == set()
+
+
+def test_a_piece_that_is_both_start_and_end_piece_keeps_both_tests():
+    # "ab ab" on its own letters cuts "ab" twice; the one hit of "ab" fails
+    # the end piece's test but passes the start piece's
+    terms = [("ab ab", True)]
+    assert PieceScanner(terms).layouts["ab ab"] == (0, 2, 3)
+    text = "ab aa"
+    starts = _assert_scan_agrees_with_oracle(text, 0, len(text), terms)
+    assert starts == {"ab": [0]} and starts.hit == {"ab ab"}
+    region = Region(0, len(text))
+    assert find_term(text, region, "ab ab", 1, 5) == oracle_find(text, region, "ab ab", 1, 5) == [region]
 
 
 def test_scanner_without_pieces_finds_nothing():
