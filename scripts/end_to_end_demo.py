@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
-"""End-to-end experiment: generate a labelled corpus, classify it, and score
-the classifier against the planted ground truth.
+"""End-to-end experiment: generate a labelled corpus, classify it with
+`litscan classify`, and score the classifier against the planted ground
+truth.
 
 Example:
     python scripts/end_to_end_demo.py --workdir /tmp/demo --docs 50
+
+The workdir ends up holding corpus/ and what `litscan classify` writes:
+results.csv, aggregates.csv and reports/.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
-from litscan.corpus import RunConfig, aggregate, aggregates_csv, emit_csv, run_corpus, tag_universe
+from litscan.cli import main as litscan
 from litscan.dsl import load_bundle
-from litscan.ingest import load_manifest
 from litscan.synthetic import generate_corpus
-from litscan.validation import confusion, confusion_csv, load_truth
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--analyzers", default=Path(__file__).resolve().parent.parent / "analyzers")
     parser.add_argument("--workdir", required=True)
@@ -28,27 +31,19 @@ def main() -> None:
     args = parser.parse_args()
 
     workdir = Path(args.workdir)
-    bundle = load_bundle(args.analyzers)
-    corpus = generate_corpus(bundle, workdir / "corpus", n_docs=args.docs,
+    corpus = generate_corpus(load_bundle(args.analyzers), workdir / "corpus", n_docs=args.docs,
                              words_per_doc=args.words, seed=args.seed)
-    metas = load_manifest(corpus.manifest_path)
 
     started = time.perf_counter()
-    rows = run_corpus(metas, bundle, RunConfig(), None, jobs=args.jobs)
+    code = litscan(["classify", "--manifest", str(corpus.manifest_path), "--analyzers", str(args.analyzers),
+                    "--out", str(workdir), "--jobs", str(args.jobs)])
     elapsed = time.perf_counter() - started
-    results = [r for _, r, _ in rows if r is not None]
-    print(f"classified {len(results)} documents in {elapsed:.1f}s (jobs={args.jobs})")
-
-    tags = tag_universe(bundle)
-    (workdir / "results.csv").write_text(emit_csv(results, tags), encoding="utf-8", newline="")
-    (workdir / "aggregates.csv").write_text(
-        aggregates_csv(aggregate(results), tags), encoding="utf-8", newline=""
-    )
-
-    truth = load_truth(corpus.truth_path)
+    if code != 0:
+        return code
+    print(f"classified {args.docs} documents in {elapsed:.1f}s (jobs={args.jobs})")
     print()
-    print(confusion_csv(confusion(results, truth)))
+    return litscan(["validate", "--results", str(workdir / "results.csv"), "--truth", str(corpus.truth_path)])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

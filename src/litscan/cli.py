@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .corpus import (
+    Bundle,
     CorpusResult,
     RunConfig,
     aggregate,
@@ -29,7 +30,6 @@ from .corpus import (
     classify_paper,
     emit_csv,
     run_corpus,
-    tag_universe,
 )
 from .dsl import AnalyzerParseError, BundleError, load_bundle
 from .ingest import DEFAULT_SHORT_THRESHOLD, SourceMeta, load_document, load_manifest
@@ -45,13 +45,15 @@ from .validation import confusion, confusion_csv, load_truth, regression_check, 
 log = logging.getLogger("litscan")
 
 
-def _match_config(args: argparse.Namespace) -> MatchConfig:
-    return MatchConfig(
+def _bundle(args: argparse.Namespace) -> Bundle:
+    """The --analyzers bundle compiled for the matching flags."""
+    match = MatchConfig(
         support_window=args.support_window,
         skip_window=args.skip_window,
         max_edits=args.max_edits,
         fuzzy_min_len=args.fuzzy_min_len,
     )
+    return Bundle(load_bundle(args.analyzers), match)
 
 
 def _add_match_flags(p: argparse.ArgumentParser) -> None:
@@ -76,13 +78,9 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    bundle = load_bundle(args.analyzers)
+    bundle = _bundle(args)
     metas = load_manifest(args.manifest)
-    config = RunConfig(
-        match=_match_config(args),
-        short_threshold=args.short_threshold,
-        converter=args.converter,
-    )
+    config = RunConfig(short_threshold=args.short_threshold, converter=args.converter)
     out = Path(args.out)
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
@@ -97,10 +95,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             continue
         results.append(result)
 
-    tags = tag_universe(bundle)
-    (out / "results.csv").write_text(emit_csv(results, tags), encoding="utf-8", newline="")
+    (out / "results.csv").write_text(emit_csv(results, bundle.tags), encoding="utf-8", newline="")
     (out / "aggregates.csv").write_text(
-        aggregates_csv(aggregate(results), tags), encoding="utf-8", newline=""
+        aggregates_csv(aggregate(results), bundle.tags), encoding="utf-8", newline=""
     )
     # errors.csv exists only when this run had failures, whatever an earlier run left in --out
     (out / "errors.csv").unlink(missing_ok=True)
@@ -129,12 +126,8 @@ def _cmd_check_analyzers(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.analyzers)
-    config = RunConfig(
-        match=_match_config(args),
-        short_threshold=args.short_threshold,
-        converter=args.converter,
-    )
+    bundle = _bundle(args)
+    config = RunConfig(short_threshold=args.short_threshold, converter=args.converter)
     meta = SourceMeta(
         paper_id=Path(args.paper).stem, journal=args.journal, year=args.year, path=args.paper
     )
@@ -170,7 +163,7 @@ def _read_results_csv(path: str) -> tuple[list[CorpusResult], list[str]]:
                 errors.append(f"line {lineno}: year {year!r} or words {words!r} is not an integer")
                 continue
             verdicts = {t: c for t, c in zip(tags, row[len(fixed):]) if c}
-            results.append(CorpusResult(meta, status, verdicts, per_analyzer={}, word_count=word_count))
+            results.append(CorpusResult(meta, status, verdicts, word_count))
     if errors:
         raise ValueError(f"{path}: " + "; ".join(errors))
     return results, tags
@@ -190,9 +183,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.analyzers)
-    config = RunConfig(match=_match_config(args))
-    ok, lines = regression_check(args.fixtures, bundle, config)
+    ok, lines = regression_check(args.fixtures, _bundle(args))
     print("\n".join(lines))
     return 0 if ok else 1
 

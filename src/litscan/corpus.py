@@ -7,11 +7,12 @@ isolated so a batch run never aborts on one bad file.
 """
 
 import csv
+import functools
 import io
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dsl import AnalyzerSpec
@@ -24,7 +25,7 @@ from .ingest import (
     gate_short,
     load_document,
 )
-from .matching import MatchConfig, run_analyzer, scan_pieces
+from .matching import MatchConfig, PieceScanner, group_scanner, run_analyzer, scan_pieces
 from .report import render_report
 from .scoring import (
     VERDICT_NONE,
@@ -43,9 +44,30 @@ log = logging.getLogger(__name__)
 CHUNKS_PER_WORKER = 8
 
 
+class Bundle:
+    """An analyzer bundle compiled for one run's match config: its exclusion
+    and classification analyzers, in bundle order, the sorted tags of the
+    classification analyzers, and one piece scanner per group, built the
+    first time a paper needs it and kept for the rest of the run."""
+
+    def __init__(self, specs: Iterable[AnalyzerSpec], match: MatchConfig = MatchConfig()):
+        specs = tuple(specs)
+        self.excluders = tuple(s for s in specs if s.mode == "exclude")
+        self.classifiers = tuple(s for s in specs if s.mode == "classify")
+        self.tags = tuple(sorted({t for s in self.classifiers for t in s.tags}))
+        self.match = match
+
+    @functools.cached_property
+    def exclusion_scanner(self) -> PieceScanner:
+        return group_scanner(self.excluders, self.match)
+
+    @functools.cached_property
+    def classification_scanner(self) -> PieceScanner:
+        return group_scanner(self.classifiers, self.match)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    match: MatchConfig = field(default_factory=MatchConfig)
     short_threshold: int = DEFAULT_SHORT_THRESHOLD
     converter: str | None = None
 
@@ -55,7 +77,6 @@ class CorpusResult:
     meta: SourceMeta
     status: str
     tag_verdicts: dict[str, str]  # populated only for analyzed papers
-    per_analyzer: dict[str, str]
     word_count: int
 
 
@@ -69,13 +90,9 @@ class AggregateRow:
     scores: dict[str, float]
 
 
-def tag_universe(bundle: list[AnalyzerSpec]) -> list[str]:
-    return sorted({t for spec in bundle if spec.mode == "classify" for t in spec.tags})
-
-
 def classify_paper(
     doc: DocumentText,
-    bundle: list[AnalyzerSpec],
+    bundle: Bundle,
     config: RunConfig,
 ) -> tuple[CorpusResult, str]:
     """Classify one ingested document and render its report."""
@@ -86,30 +103,22 @@ def classify_paper(
     if doc.status == STATUS_ANALYZED:
         # one piece scan per analyzer group, so an excluded paper's text past
         # the exclusion regions is never scanned
-        excluders = [s for s in bundle if s.mode == "exclude"]
-        starts = scan_pieces(doc, excluders, config.match)
+        starts = scan_pieces(doc, bundle.excluders, bundle.exclusion_scanner)
         exclusion_evidence = [
-            resolve_analyzer(run_analyzer(doc, s, config.match, starts), s) for s in excluders
+            resolve_analyzer(run_analyzer(doc, s, bundle.match, starts), s) for s in bundle.excluders
         ]
         if decide_exclusion(exclusion_evidence):
             doc = replace(doc, status=STATUS_EXCLUDED_SECONDARY)
             evidences = exclusion_evidence
         else:
-            classifiers = [s for s in bundle if s.mode == "classify"]
-            starts = scan_pieces(doc, classifiers, config.match)
+            starts = scan_pieces(doc, bundle.classifiers, bundle.classification_scanner)
             class_evidence = [
-                resolve_analyzer(run_analyzer(doc, s, config.match, starts), s) for s in classifiers
+                resolve_analyzer(run_analyzer(doc, s, bundle.match, starts), s) for s in bundle.classifiers
             ]
             summaries = aggregate_tags(class_evidence)
             tag_verdicts = {s.tag: s.verdict for s in summaries}
             evidences = exclusion_evidence + class_evidence
-    result = CorpusResult(
-        meta=doc.meta,
-        status=doc.status,
-        tag_verdicts=tag_verdicts,
-        per_analyzer={ev.analyzer: ev.verdict for ev in evidences},
-        word_count=doc.word_count,
-    )
+    result = CorpusResult(meta=doc.meta, status=doc.status, tag_verdicts=tag_verdicts, word_count=doc.word_count)
     return result, render_report(doc, evidences, summaries)
 
 
@@ -122,7 +131,7 @@ def _failure(meta: SourceMeta, exc: Exception) -> str:
 
 def classify_file(
     meta: SourceMeta,
-    bundle: list[AnalyzerSpec],
+    bundle: Bundle,
     config: RunConfig,
 ) -> tuple[CorpusResult | None, str | None, str | None]:
     """Load and classify one paper; returns (result, report, error)."""
@@ -135,7 +144,7 @@ def classify_file(
 
 def _classify_and_write(
     meta: SourceMeta,
-    bundle: list[AnalyzerSpec],
+    bundle: Bundle,
     config: RunConfig,
     reports_dir: Path | None,
 ) -> tuple[CorpusResult | None, str | None]:
@@ -150,10 +159,10 @@ def _classify_and_write(
     return result, error
 
 
-_WORKER_ARGS: tuple[list[AnalyzerSpec], RunConfig, Path | None] | None = None
+_WORKER_ARGS: tuple[Bundle, RunConfig, Path | None] | None = None
 
 
-def _init_worker(bundle: list[AnalyzerSpec], config: RunConfig, reports_dir: Path | None) -> None:
+def _init_worker(bundle: Bundle, config: RunConfig, reports_dir: Path | None) -> None:
     global _WORKER_ARGS
     _WORKER_ARGS = (bundle, config, reports_dir)
 
@@ -164,7 +173,7 @@ def _worker(meta: SourceMeta) -> tuple[CorpusResult | None, str | None]:
 
 def run_corpus(
     metas: list[SourceMeta],
-    bundle: list[AnalyzerSpec],
+    bundle: Bundle,
     config: RunConfig,
     reports_dir: Path | None,
     jobs: int = 1,
@@ -177,7 +186,8 @@ def run_corpus(
     and errors come back, never report text. A single worker is this
     process. Otherwise a forked pool of min(jobs, chunks) workers takes the
     manifest in chunks of len(metas) // (jobs * CHUNKS_PER_WORKER)
-    consecutive papers, at least one."""
+    consecutive papers, at least one, and each worker builds the bundle's
+    scanners on its first paper."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     size = max(1, len(metas) // (jobs * CHUNKS_PER_WORKER))
@@ -185,6 +195,8 @@ def run_corpus(
     if workers <= 1:
         rows = [_classify_and_write(meta, bundle, config, reports_dir) for meta in metas]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only here: its import costs startup
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(bundle, config, reports_dir)
         ) as pool:
@@ -192,7 +204,7 @@ def run_corpus(
     return [(meta, result, error) for meta, (result, error) in zip(metas, rows)]
 
 
-def emit_csv(results: list[CorpusResult], tags: list[str]) -> str:
+def emit_csv(results: list[CorpusResult], tags: Sequence[str]) -> str:
     """Per-paper results as RFC-4180 CSV; tag cells are empty for papers
     that were not analyzed."""
     buf = io.StringIO()
@@ -237,7 +249,7 @@ def aggregate(results: list[CorpusResult]) -> list[AggregateRow]:
     return rows
 
 
-def aggregates_csv(rows: list[AggregateRow], tags: list[str]) -> str:
+def aggregates_csv(rows: list[AggregateRow], tags: Sequence[str]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     header = ["journal", "year", "papers_total", "papers_analyzed"]

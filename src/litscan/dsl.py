@@ -107,24 +107,11 @@ class AnalyzerSpec:
     # derived: `synonyms` normalized, and every candidate term of the examples
     normalized_synonyms: tuple[str, ...] = field(init=False, repr=False)
     terms: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    # the hash of the compared fields, taken once: the bundle keys a cache
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "normalized_synonyms", tuple(normalize_phrase(s) for s in self.synonyms))
         terms = (t for ex in self.positives + self.negatives for t in self.candidate_terms(ex))
         object.__setattr__(self, "terms", tuple(dict.fromkeys(terms)))
-        fields = (self.name, self.positives, self.negatives, self.skips, self.synonyms, self.tags)
-        object.__setattr__(self, "_hash", hash((*fields, self.region_fraction, self.mode)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __setstate__(self, state: dict) -> None:
-        # a string hashes differently in another process, so a spec sent to
-        # a spawned worker takes its hash again there
-        self.__dict__.update(state)
-        self.__post_init__()
 
     def candidate_terms(self, example: ExampleTemplate) -> tuple[str, ...]:
         """Normalized search terms for one example: its primary plus every

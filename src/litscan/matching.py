@@ -44,7 +44,6 @@ equal outright (an exact match) or after one substitution, one insertion or
 deletion, or one adjacent swap.
 """
 
-import functools
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -274,7 +273,12 @@ class PieceScanner:
     first character of the pieces. The pieces begin with the start letters
     chosen for the terms together, and a start is kept only where its piece
     passes the test of at least one term it is cut from, or is a prefix of
-    a kept piece."""
+    a kept piece.
+
+    Building one picks the letters and compiles the regexes, which takes
+    milliseconds (tens for a large group), so a scanner is built once per
+    group and reused for every text: `corpus.Bundle` builds its two the
+    first time a paper needs them, once in each process that classifies."""
 
     def __init__(self, terms: Iterable[tuple[str, bool]]):
         terms = set(terms)
@@ -315,18 +319,20 @@ class PieceScanner:
         return starts
 
 
-@functools.lru_cache(maxsize=128)
-def _group_scanner(specs: tuple[AnalyzerSpec, ...], max_edits: int, fuzzy_min_len: int) -> PieceScanner:
-    return PieceScanner((term, _fuzzy(term, max_edits, fuzzy_min_len)) for spec in specs for term in spec.terms)
+def group_scanner(specs: Iterable[AnalyzerSpec], config: MatchConfig) -> PieceScanner:
+    """The scanner of the terms of a group of analyzers under `config`."""
+    return PieceScanner(
+        (term, _fuzzy(term, config.max_edits, config.fuzzy_min_len)) for spec in specs for term in spec.terms
+    )
 
 
-def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], config: MatchConfig) -> PieceStarts:
+def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], scanner: PieceScanner) -> PieceStarts:
     """The starts of the pieces of the analyzers' terms from which a span
-    can be built, in one scan of the furthest of their regions. The
-    scanner, and with it the group's start letters, is built on the first
-    call for a given group and config, and reused after."""
+    can be built, in one scan of the furthest of their regions. `scanner` is
+    the group's `group_scanner`; the caller builds it and keeps it for as
+    long as the group and config stay the same, as `corpus.Bundle` does for
+    a run."""
     end = max((prefix_region(doc, spec.region_fraction).end for spec in specs), default=0)
-    scanner = _group_scanner(tuple(specs), config.max_edits, config.fuzzy_min_len)
     return scanner.scan(doc.normalized, 0, end)
 
 
@@ -501,10 +507,11 @@ def run_analyzer(
     For every example, every candidate term (primary plus synonyms) is
     searched inside the analyzer's region; a term shared by several examples
     is searched once per call. `piece_starts` comes from `scan_pieces` over a
-    group of analyzers that includes this one; without it the analyzer's own
-    pieces are scanned for. Only the terms in its `hit` set are searched, as
-    no other term can match; an analyzer with none of its terms hit returns
-    nothing at once.
+    group of analyzers that includes this one, with the group's scanner;
+    without it this call builds the analyzer's own scanner and scans with it
+    once, which costs far more than the search. Only the terms in its `hit`
+    set are searched, as no other term can match; an analyzer with none of
+    its terms hit returns nothing at once.
 
     One stretch of text is one piece of evidence: a span contained in a
     longer span from the same example's term set is dropped, so "t test"
@@ -519,7 +526,7 @@ def run_analyzer(
     region = prefix_region(doc, spec.region_fraction)
     text = doc.normalized
     if piece_starts is None:
-        piece_starts = scan_pieces(doc, (spec,), config)
+        piece_starts = group_scanner((spec,), config).scan(text, 0, region.end)
     hit = piece_starts.hit
     if hit.isdisjoint(spec.terms):
         return []

@@ -21,7 +21,7 @@ import string
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import tag_universe
+from .corpus import Bundle
 from .dsl import AnalyzerSpec
 from .ingest import SourceMeta, make_document, normalize, word_count_of
 from .matching import MatchConfig, osa_distance, run_analyzer
@@ -177,10 +177,11 @@ def generate_corpus(
     config = config or MatchConfig()
     rng = random.Random(seed)
 
-    classifiers = [s for s in bundle if s.mode == "classify"]
+    compiled = Bundle(bundle, config)
+    classifiers = compiled.classifiers
     typo_capable = [s for s in classifiers if fuzzy_terms(s, config.fuzzy_min_len)]
     negation_capable = [s for s in classifiers if s.negatives]
-    tags = tuple(tag_universe(bundle))
+    tags = compiled.tags
     by_name = {s.name: s for s in classifiers}
 
     plans: list[DocPlan] = []

@@ -6,12 +6,11 @@ manual review rounds.
 import csv
 import io
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import CorpusResult, RunConfig, classify_paper
-from .dsl import AnalyzerSpec
+from .corpus import Bundle, CorpusResult, RunConfig, classify_paper
 from .ingest import STATUS_ANALYZED, SourceMeta, load_document
 from .scoring import VERDICT_NEGATIVE, VERDICT_NONE, VERDICT_POSITIVE
 
@@ -134,11 +133,7 @@ def _load_expected(path: Path) -> dict[str, str]:
     return expected
 
 
-def regression_check(
-    fixtures_dir: str | Path,
-    bundle: list[AnalyzerSpec],
-    config: RunConfig | None = None,
-) -> tuple[bool, list[str]]:
+def regression_check(fixtures_dir: str | Path, bundle: Bundle) -> tuple[bool, list[str]]:
     """Run the bundle over every `<name>.txt` fixture and diff tag verdicts
     against `<name>.expected.csv`.
 
@@ -149,8 +144,7 @@ def regression_check(
     since they are usually snippets rather than full papers.
     """
     fixtures_dir = Path(fixtures_dir)
-    config = config or RunConfig()
-    config = replace(config, short_threshold=0)
+    config = RunConfig(short_threshold=0)
     fixtures = sorted(fixtures_dir.glob("*.txt"))
     if not fixtures:
         raise ValueError(f"{fixtures_dir}: no *.txt fixtures found")

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from litscan.corpus import Bundle
 from litscan.dsl import load_bundle
 from litscan.ingest import SourceMeta, make_document
 from litscan.matching import MatchConfig
@@ -25,6 +26,13 @@ def filler(n_words: int, seed: int = 11) -> list[str]:
 @pytest.fixture(scope="session")
 def bundle():
     return load_bundle(ANALYZER_DIR)
+
+
+@pytest.fixture(scope="session")
+def compiled(bundle):
+    """The bundle compiled with the default match config; its scanners are
+    built once for the session."""
+    return Bundle(bundle)
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ def synthetic(bundle, tmp_path_factory):
     return generate_corpus(bundle, out, n_docs=200, words_per_doc=6000, seed=20240601)
 
 
-def test_criterion_01_three_analyzer_tag_aggregation(bundle, by_name, match_config):
+def test_criterion_01_three_analyzer_tag_aggregation(bundle, compiled, by_name, match_config):
     words = filler(4200, seed=21)
     text = _insert(words, [
         (500, "We compared the two samples using the Mann-Whitney U test."),
@@ -55,7 +55,7 @@ def test_criterion_01_three_analyzer_tag_aggregation(bundle, by_name, match_conf
     assert evidences["cliffs_delta"].verdict == "positive"
     assert len(evidences["cliffs_delta"].positive_matches) == 4
 
-    result, _ = classify_paper(doc, bundle, RunConfig())
+    result, _ = classify_paper(doc, compiled, RunConfig())
     assert result.status == "analyzed"
     assert result.tag_verdicts["quantitative_analysis"] == "positive"
     assert result.tag_verdicts["statistical_test"] == "positive"
@@ -80,7 +80,7 @@ def test_criterion_01_three_analyzer_tag_aggregation(bundle, by_name, match_conf
     print(f"ACCEPTANCE 01 PASS: worked tag aggregation exact in {elapsed:.2f}s")
 
 
-def test_criterion_02_skip_matchers_cancel_unit_tests(bundle, by_name, match_config):
+def test_criterion_02_skip_matchers_cancel_unit_tests(compiled, by_name, match_config):
     words = filler(4950, seed=22)
     traps = [(150 + 190 * i, "unit tests") for i in range(25)]
     text = _insert(words, traps)
@@ -91,11 +91,11 @@ def test_criterion_02_skip_matchers_cancel_unit_tests(bundle, by_name, match_con
     matches = run_analyzer(doc, by_name["students_t_test"], match_config)
     assert len(matches) >= 25
     assert all(m.skipped for m in matches)
-    result, _ = classify_paper(doc, bundle, RunConfig())
+    result, _ = classify_paper(doc, compiled, RunConfig())
     assert result.tag_verdicts["parametric_test"] == "none"
 
     flipped = make_doc(text + " We used a Student's t-test")
-    result, _ = classify_paper(flipped, bundle, RunConfig())
+    result, _ = classify_paper(flipped, compiled, RunConfig())
     assert result.tag_verdicts["parametric_test"] == "positive"
     print(f"ACCEPTANCE 02 PASS: 25 unit-test traps skipped ({len(matches)} matches), real t-test flips to positive")
 
@@ -115,15 +115,15 @@ def test_criterion_03_negative_evidence_overrides(by_name, match_config):
     print("ACCEPTANCE 03 PASS: confirmed negative overrides positive evidence")
 
 
-def test_criterion_04_short_text_gate_boundary(bundle):
-    short, _ = classify_paper(make_doc(" ".join(filler(3999, seed=24))), bundle, RunConfig())
+def test_criterion_04_short_text_gate_boundary(compiled):
+    short, _ = classify_paper(make_doc(" ".join(filler(3999, seed=24))), compiled, RunConfig())
     assert short.status == "skipped_short"
-    long_enough, _ = classify_paper(make_doc(" ".join(filler(4000, seed=24))), bundle, RunConfig())
+    long_enough, _ = classify_paper(make_doc(" ".join(filler(4000, seed=24))), compiled, RunConfig())
     assert long_enough.status == "analyzed"
     print("ACCEPTANCE 04 PASS: 3999 words skipped, 4000 words analyzed")
 
 
-def test_criterion_05_prefix_region_rule(bundle):
+def test_criterion_05_prefix_region_rule(compiled):
     marker = "This systematic literature review surveys published evidence on the topic."
     words = filler(5000, seed=25)
 
@@ -131,13 +131,13 @@ def test_criterion_05_prefix_region_rule(bundle):
     limit = int(0.05 * len(early.normalized))
     start = early.normalized.find("systematic literature review")
     assert 0 < start and start + len("systematic literature review") <= limit
-    result, _ = classify_paper(early, bundle, RunConfig())
+    result, _ = classify_paper(early, compiled, RunConfig())
     assert result.status == "excluded_secondary"
 
     late = make_doc(_insert(words, [(500, marker)]))  # ~10% of the text
     limit = int(0.05 * len(late.normalized))
     assert late.normalized.find("systematic literature review") > limit
-    result, _ = classify_paper(late, bundle, RunConfig())
+    result, _ = classify_paper(late, compiled, RunConfig())
     assert result.status == "analyzed"
     print("ACCEPTANCE 05 PASS: marker at 4% excludes, at 10% does not")
 
@@ -183,10 +183,10 @@ def test_criterion_06_fuzzy_matcher_oracle_equivalence():
     print(f"ACCEPTANCE 06 PASS: 1000/1000 oracle agreements in {elapsed:.1f}s")
 
 
-def test_criterion_07_synthetic_corpus_precision_recall(bundle, synthetic):
+def test_criterion_07_synthetic_corpus_precision_recall(compiled, synthetic):
     metas = load_manifest(synthetic.manifest_path)
     started = time.perf_counter()
-    rows = run_corpus(metas, bundle, RunConfig(), None, jobs=1)
+    rows = run_corpus(metas, compiled, RunConfig(), None, jobs=1)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     assert all(error is None for _, _, error in rows)
@@ -270,7 +270,6 @@ def test_criterion_10_confusion_table_arithmetic():
                 meta=SourceMeta(f"v{i:02d}", "J", 2008, ""),
                 status="analyzed",
                 tag_verdicts={tag: verdict},
-                per_analyzer={},
                 word_count=5000,
             )
         )

@@ -1,13 +1,19 @@
+import concurrent.futures
 import csv
 import io
+import re
+import shutil
 import sys
 import time
 from pathlib import Path
 
-from conftest import ANALYZER_DIR, filler, make_doc
+import pytest
+
+from conftest import ANALYZER_DIR, REGRESSION_DIR, filler, make_doc
 from litscan import corpus, ingest, matching
 from litscan.cli import main
 from litscan.corpus import (
+    Bundle,
     CorpusResult,
     RunConfig,
     aggregate,
@@ -15,7 +21,6 @@ from litscan.corpus import (
     classify_paper,
     emit_csv,
     run_corpus,
-    tag_universe,
 )
 from litscan.ingest import SourceMeta, load_manifest, prefix_region
 
@@ -25,31 +30,30 @@ def _result(pid, journal, year, status="analyzed", verdicts=None, words=5000):
         meta=SourceMeta(pid, journal, year, ""),
         status=status,
         tag_verdicts=verdicts or {},
-        per_analyzer={},
         word_count=words,
     )
 
 
-def test_classify_paper_short_text(bundle):
+def test_classify_paper_short_text(compiled):
     doc = make_doc(" ".join(filler(3000)))
-    result, report = classify_paper(doc, bundle, RunConfig())
+    result, report = classify_paper(doc, compiled, RunConfig())
     assert result.status == "skipped_short"
     assert result.tag_verdicts == {}
     assert "skipped_short" in report
 
 
-def test_classify_paper_secondary_exclusion(bundle):
+def test_classify_paper_secondary_exclusion(compiled):
     words = filler(5000)
     words[10:10] = "we present a systematic mapping study of research on testing".split()
     doc = make_doc(" ".join(words))
-    result, report = classify_paper(doc, bundle, RunConfig())
+    result, report = classify_paper(doc, compiled, RunConfig())
     assert result.status == "excluded_secondary"
     assert result.tag_verdicts == {}
-    assert result.per_analyzer.get("secondary_study") == "positive"
+    assert any(line.startswith("analyzer secondary_study: positive ") for line in report.splitlines())
     assert "excluded" in report
 
 
-def test_exclusion_pass_scans_only_the_exclusion_region(bundle, monkeypatch):
+def test_exclusion_pass_scans_only_the_exclusion_region(bundle, compiled, monkeypatch):
     (fraction,) = {s.region_fraction for s in bundle if s.mode == "exclude"}
     ranges = []
     real = matching.PieceScanner.scan
@@ -62,23 +66,23 @@ def test_exclusion_pass_scans_only_the_exclusion_region(bundle, monkeypatch):
     words = filler(5000)
     words[10:10] = "we present a systematic mapping study of research on testing".split()
     doc = make_doc(" ".join(words))
-    result, _ = classify_paper(doc, bundle, RunConfig())
+    result, _ = classify_paper(doc, compiled, RunConfig())
     assert result.status == "excluded_secondary"
     assert ranges == [(0, prefix_region(doc, fraction).end)]
     assert 0 < ranges[0][1] < len(doc.normalized) / 10
 
     ranges.clear()
     doc = make_doc(" ".join(filler(5000)))
-    result, _ = classify_paper(doc, bundle, RunConfig())
+    result, _ = classify_paper(doc, compiled, RunConfig())
     assert result.status == "analyzed"
     assert ranges == [(0, prefix_region(doc, fraction).end), (0, len(doc.normalized))]
 
 
-def test_classify_paper_reports_evidence(bundle):
+def test_classify_paper_reports_evidence(compiled):
     words = filler(4500)
     words[200:200] = "We used a Student's t-test and also ran unit tests daily".split()
     doc = make_doc(" ".join(words))
-    result, report = classify_paper(doc, bundle, RunConfig())
+    result, report = classify_paper(doc, compiled, RunConfig())
     assert result.status == "analyzed"
     assert result.tag_verdicts["parametric_test"] == "positive"
     assert "»" in report and "«" in report
@@ -86,12 +90,12 @@ def test_classify_paper_reports_evidence(bundle):
     assert "skipped by" in report  # the unit-tests trap shows up separately
 
 
-def test_report_keeps_evidence_lines_whole_across_line_breaks(bundle):
+def test_report_keeps_evidence_lines_whole_across_line_breaks(compiled):
     breaks = "".join(chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) > 1)
     assert "\x0c" in breaks  # pdftotext's page break
     words = filler(4500)
     words[200:200] = ["We", f"used{breaks}a", "Student's", f"t{breaks}test", f"and{breaks}so", "on"]
-    result, report = classify_paper(make_doc(" ".join(words)), bundle, RunConfig())
+    result, report = classify_paper(make_doc(" ".join(words)), compiled, RunConfig())
     assert result.tag_verdicts["parametric_test"] == "positive"
     evidence = [line for line in report.splitlines() if "»" in line]
     assert evidence and all("«" in line for line in evidence)
@@ -178,15 +182,73 @@ def _csv_rows(path: Path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
-def test_run_corpus_isolates_per_paper_errors(bundle, tmp_path):
+def test_run_corpus_isolates_per_paper_errors(compiled, tmp_path):
     manifest = _write_corpus(tmp_path, {"ok": "We used a Student's t-test. " + " ".join(filler(80))})
     metas = load_manifest(manifest) + [SourceMeta("missing", "J", 2011, str(tmp_path / "nope.txt"))]
-    rows = run_corpus(metas, bundle, RunConfig(short_threshold=10), None, jobs=1)
+    rows = run_corpus(metas, compiled, RunConfig(short_threshold=10), None, jobs=1)
     assert rows[0][2] is None
     assert rows[1][1] is None and "missing" in rows[1][2]
 
 
-def test_cli_classify_end_to_end(bundle, tmp_path):
+
+def test_a_run_builds_each_group_scanner_once(bundle, tmp_path, monkeypatch):
+    builds = []  # the terms of each scanner built
+    real = matching.PieceScanner.__init__
+
+    def counting(self, terms):
+        terms = set(terms)
+        builds.append({term for term, _ in terms})
+        real(self, terms)
+
+    monkeypatch.setattr(matching.PieceScanner, "__init__", counting)
+    texts = {f"p{i}": "We used a Student's t-test. " + " ".join(filler(60, seed=i)) for i in range(4)}
+    metas = load_manifest(_write_corpus(tmp_path, texts))
+    compiled = Bundle(bundle)
+    rows = run_corpus(metas, compiled, RunConfig(short_threshold=10), None, jobs=1)
+    assert [result.status for _, result, _ in rows] == ["analyzed"] * 4
+    assert builds == [{t for s in group for t in s.terms} for group in (compiled.excluders, compiled.classifiers)]
+
+    builds.clear()
+    empty = tmp_path / "empty.csv"
+    empty.write_text("paper_id,journal,year,path\n", encoding="utf-8")
+    assert main(["classify", "--manifest", str(empty), "--analyzers", str(ANALYZER_DIR),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert builds == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--max-edits", "0"], ["--fuzzy-min-len", "40"]])
+def test_match_flags_reach_the_scanners(flags, tmp_path, capsys):
+    # the fixture's one match is a misspelt term, "Kolmogrov Smirnov"
+    tags = ("normality", "quantitative_analysis", "statistical_test")
+    verdict = "none" if flags else "positive"
+    fixture = REGRESSION_DIR / "fuzzy-term-typo.txt"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"paper_id,journal,year,path\n{fixture.stem},J,2015,{fixture}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+                 "--out", str(out), "--short-threshold", "0", *flags]) == 0
+    header, row = _csv_rows(out / "results.csv")
+    assert [row[header.index(tag)] for tag in tags] == [verdict] * 3
+
+    capsys.readouterr()
+    assert main(["report", str(fixture), "--analyzers", str(ANALYZER_DIR), "--journal", "J",
+                 "--year", "2015", "--short-threshold", "0", *flags]) == 0
+    report = capsys.readouterr().out
+    assert all(re.search(rf"^  {tag} +{verdict} ", report, re.M) for tag in tags)
+    assert report == (out / "reports" / f"{fixture.stem}.txt").read_text(encoding="utf-8")
+
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    for path in REGRESSION_DIR.glob(f"{fixture.stem}.*"):
+        shutil.copy(path, fixtures)
+    assert main(["regress", "--fixtures", str(fixtures), "--analyzers", str(ANALYZER_DIR), *flags]) == (
+        1 if flags else 0
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert all((f"  {tag}: expected positive, got none" in lines) == bool(flags) for tag in tags)
+
+
+def test_cli_classify_end_to_end(compiled, tmp_path):
     texts = {
         "pos": "We used a Student's t-test for the comparison. " + " ".join(filler(120, seed=1)),
         "neg": "we have not conducted an effect size analysis on the data and results "
@@ -203,7 +265,7 @@ def test_cli_classify_end_to_end(bundle, tmp_path):
     assert rc == 0
     rows = list(csv.reader((out / "results.csv").open()))
     header = rows[0]
-    tags = tag_universe(bundle)
+    tags = list(compiled.tags)
     assert header == ["paper_id", "journal", "year", "words", "status"] + tags
     by_id = {r[0]: r for r in rows[1:]}
     assert [r[0] for r in rows[1:]] == ["pos", "neg", "plain", "short"]  # manifest order
@@ -354,34 +416,35 @@ class _RecordingPool:
 
 
 def _record_pools(monkeypatch) -> list[tuple[int, int]]:
-    monkeypatch.setattr(corpus, "ProcessPoolExecutor", _RecordingPool)
+    # run_corpus imports the pool class from its package when it needs a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(corpus, "_WORKER_ARGS", None)  # restored after the recorder sets it
     monkeypatch.setattr(_RecordingPool, "calls", [])
     return _RecordingPool.calls
 
 
-def test_pool_has_no_more_workers_than_chunks(bundle, tmp_path, monkeypatch):
+def test_pool_has_no_more_workers_than_chunks(compiled, tmp_path, monkeypatch):
     calls = _record_pools(monkeypatch)
     texts = {f"p{i}": "We used a Student's t-test. " + " ".join(filler(60, seed=i)) for i in range(3)}
     metas = load_manifest(_write_corpus(tmp_path, texts))
     config = RunConfig(short_threshold=10)
 
-    rows = run_corpus(metas, bundle, config, tmp_path, jobs=64)
+    rows = run_corpus(metas, compiled, config, tmp_path, jobs=64)
     assert calls == [(3, 1)]
     assert [meta.paper_id for meta, _, _ in rows] == ["p0", "p1", "p2"]
     assert all(result is not None and error is None for _, result, error in rows)
     assert sorted(p.name for p in tmp_path.glob("p*.txt")) == ["p0.txt", "p1.txt", "p2.txt"]
 
-    assert run_corpus([], bundle, config, None, jobs=4) == []  # an empty manifest starts no pool
-    assert len(run_corpus(metas[:1], bundle, config, None, jobs=4)) == 1  # one chunk runs here
-    assert len(run_corpus(metas, bundle, config, None, jobs=1)) == 3
+    assert run_corpus([], compiled, config, None, jobs=4) == []  # an empty manifest starts no pool
+    assert len(run_corpus(metas[:1], compiled, config, None, jobs=4)) == 1  # one chunk runs here
+    assert len(run_corpus(metas, compiled, config, None, jobs=1)) == 3
     assert calls == [(3, 1)]
 
 
-def test_pool_takes_the_manifest_in_chunks(bundle, tmp_path, monkeypatch):
+def test_pool_takes_the_manifest_in_chunks(compiled, tmp_path, monkeypatch):
     calls = _record_pools(monkeypatch)
     metas = [SourceMeta(f"m{i}", "J", 2011, str(tmp_path / f"m{i}.txt")) for i in range(40)]
-    rows = run_corpus(metas, bundle, RunConfig(), tmp_path, jobs=2)
+    rows = run_corpus(metas, compiled, RunConfig(), tmp_path, jobs=2)
     assert calls == [(2, 40 // (2 * corpus.CHUNKS_PER_WORKER))]
     assert [meta for meta, _, _ in rows] == metas
     assert all(result is None and f"m{i}: FileNotFoundError" in error

@@ -21,6 +21,7 @@ from litscan.matching import (
     find_term,
     osa_distance,
     run_analyzer,
+    group_scanner,
     scan_pieces,
 )
 from litscan.scoring import resolve_analyzer
@@ -348,6 +349,7 @@ def _one_edit_variants(term):
 def test_group_start_letters_lose_no_one_edit_match(bundle, match_config, mode):
     # the whole text is scanned, whatever region the analyzers keep
     group = [replace(spec, region_fraction=1.0) for spec in bundle if spec.mode == mode]
+    scanner = group_scanner(group, match_config)
     examples = [(spec, ex) for spec in group for ex in spec.positives + spec.negatives]
     terms = sorted({term for spec, ex in examples for term in spec.candidate_terms(ex)})
     words = itertools.cycle(filler(1000))
@@ -364,7 +366,7 @@ def test_group_start_letters_lose_no_one_edit_match(bundle, match_config, mode):
         doc = make_doc("".join(parts) + "end")
         text, region = doc.normalized, Region(0, len(doc.normalized))
         assert text == "".join(parts) + "end"
-        starts = scan_pieces(doc, group, match_config)
+        starts = scan_pieces(doc, group, scanner)
         a, b, c = starts.layouts[term]
         # two pieces with a gap between them, or a suffix alone
         assert (a < b < c if fuzzy else a == b) and c < len(term), term
@@ -381,7 +383,7 @@ def test_two_character_terms_match_within_one_edit():
     config = MatchConfig(fuzzy_min_len=2)
     doc = make_doc("a xy yx x aa ba a q xyx aqa")
     text, region = doc.normalized, Region(0, len(doc.normalized))
-    starts = scan_pieces(doc, [spec], config)
+    starts = scan_pieces(doc, [spec], group_scanner([spec], config))
     for term, exact in (("aa", Region(10, 12)), ("xy", Region(2, 4))):
         got = find_term(text, region, term, 1, 2, starts)
         assert got == find_term(text, region, term, 1, 2) == oracle_find(text, region, term, 1, 2)
@@ -417,12 +419,12 @@ def _bundle_vocabulary(bundle) -> list[str]:
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_run_analyzer_on_hit_terms_equals_searching_every_term(bundle, match_config, data):
+def test_run_analyzer_on_hit_terms_equals_searching_every_term(bundle, compiled, match_config, data):
     vocab = _bundle_vocabulary(bundle)
     doc = make_doc(" ".join(data.draw(st.lists(st.sampled_from(vocab), max_size=60))))
-    for mode in ("exclude", "classify"):
-        group = [spec for spec in bundle if spec.mode == mode]
-        starts = scan_pieces(doc, group, match_config)
+    groups = ((compiled.excluders, compiled.exclusion_scanner), (compiled.classifiers, compiled.classification_scanner))
+    for group, scanner in groups:
+        starts = scan_pieces(doc, group, scanner)
         every = _every_term_hit(starts, group)
         for spec in group:
             got = run_analyzer(doc, spec, match_config, starts)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import ANALYZER_DIR, REGRESSION_DIR, filler
 from litscan.cli import main
-from litscan.corpus import CorpusResult, RunConfig
+from litscan.corpus import CorpusResult
 from litscan.ingest import SourceMeta
 from litscan.validation import (
     ConfusionRow,
@@ -22,7 +22,6 @@ def _result(pid, verdicts, status="analyzed"):
         meta=SourceMeta(pid, "J", 2010, ""),
         status=status,
         tag_verdicts=verdicts,
-        per_analyzer={},
         word_count=5000,
     )
 
@@ -142,38 +141,38 @@ def test_validate_command_reports_a_bad_truth_file(tmp_path, capsys):
     assert "missing columns" in capsys.readouterr().err
 
 
-def test_regression_fixtures_pass(bundle):
-    ok, lines = regression_check(REGRESSION_DIR, bundle, RunConfig())
+def test_regression_fixtures_pass(compiled):
+    ok, lines = regression_check(REGRESSION_DIR, compiled)
     assert ok, "\n".join(lines)
     assert all(line.startswith("PASS") for line in lines)
     assert len(lines) >= 4
 
 
-def test_regression_detects_wrong_expectation(bundle, tmp_path):
+def test_regression_detects_wrong_expectation(compiled, tmp_path):
     (tmp_path / "broken.txt").write_text(
         "We used a Student's t-test. " + " ".join(filler(60)), encoding="utf-8"
     )
     (tmp_path / "broken.expected.csv").write_text("parametric_test,negative\n", encoding="utf-8")
-    ok, lines = regression_check(tmp_path, bundle, RunConfig())
+    ok, lines = regression_check(tmp_path, compiled)
     assert not ok
     assert any(line.startswith("FAIL broken") for line in lines)
     assert any("expected negative, got positive" in line for line in lines)
 
 
-def test_regression_reads_an_undecodable_fixture_as_classify_does(bundle, tmp_path):
+def test_regression_reads_an_undecodable_fixture_as_classify_does(compiled, tmp_path):
     text = "We used a Student's t-test. \xff\xfe " + " ".join(filler(60))
     (tmp_path / "bad-bytes.txt").write_bytes(text.encode("latin-1"))
     expected = "parametric_test,positive\nquantitative_analysis,positive\nstatistical_test,positive\n"
     (tmp_path / "bad-bytes.expected.csv").write_text(expected, encoding="utf-8")
-    ok, lines = regression_check(tmp_path, bundle, RunConfig())
+    ok, lines = regression_check(tmp_path, compiled)
     assert ok, "\n".join(lines)
     assert lines == ["PASS bad-bytes"]
 
 
-def test_regression_missing_expectation_file(bundle, tmp_path):
+def test_regression_missing_expectation_file(compiled, tmp_path):
     (tmp_path / "orphan.txt").write_text("whatever", encoding="utf-8")
     with pytest.raises(FileNotFoundError, match="orphan.expected.csv"):
-        regression_check(tmp_path, bundle, RunConfig())
+        regression_check(tmp_path, compiled)
 
 
 def _stratified_results():
