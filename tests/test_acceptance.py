@@ -32,7 +32,7 @@ def synthetic(bundle, tmp_path_factory):
     return generate_corpus(bundle, out, n_docs=200, words_per_doc=6000, seed=20240601)
 
 
-def test_criterion_01_three_analyzer_tag_aggregation(bundle, compiled, by_name, match_config):
+def test_criterion_01_three_analyzer_tag_aggregation(compiled, by_name, match_config):
     words = filler(4200, seed=21)
     text = _insert(words, [
         (500, "We compared the two samples using the Mann-Whitney U test."),
@@ -64,7 +64,7 @@ def test_criterion_01_three_analyzer_tag_aggregation(bundle, compiled, by_name, 
 
     classify_evidence = [
         resolve_analyzer(run_analyzer(doc, s, match_config), s)
-        for s in bundle if s.mode == "classify"
+        for s in compiled.classifiers
     ]
     counts = {
         s.tag: (len(s.positive_analyzers), len(s.negative_analyzers))

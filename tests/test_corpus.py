@@ -53,8 +53,8 @@ def test_classify_paper_secondary_exclusion(compiled):
     assert "excluded" in report
 
 
-def test_exclusion_pass_scans_only_the_exclusion_region(bundle, compiled, monkeypatch):
-    (fraction,) = {s.region_fraction for s in bundle if s.mode == "exclude"}
+def test_exclusion_pass_scans_only_the_exclusion_region(compiled, monkeypatch):
+    (fraction,) = {s.region_fraction for s in compiled.excluders}
     ranges = []
     real = matching.PieceScanner.scan
 
