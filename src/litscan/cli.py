@@ -29,6 +29,7 @@ from .corpus import (
     aggregates_csv,
     classify_paper,
     emit_csv,
+    read_results_csv,
     run_corpus,
 )
 from .dsl import AnalyzerParseError, BundleError, load_bundle
@@ -137,46 +138,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_results_csv(path: str) -> tuple[list[CorpusResult], list[str]]:
-    """Rebuild enough of the per-paper results from a results.csv to
-    aggregate, validate, and sample. Raises ValueError listing every
-    problem found."""
-    fixed = ["paper_id", "journal", "year", "words", "status"]
-    results: list[CorpusResult] = []
-    errors: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[: len(fixed)] != fixed:
-            raise ValueError(f"{path}: unexpected results header {header!r}")
-        tags = header[len(fixed):]
-        for row in reader:
-            lineno = reader.line_num  # a quoted cell may hold a line break
-            if len(row) != len(header):
-                errors.append(f"line {lineno}: {len(row)} cells, the header has {len(header)}")
-                continue
-            pid, journal, year, words, status = row[: len(fixed)]
-            try:
-                meta = SourceMeta(paper_id=pid, journal=journal, year=int(year), path="")
-                word_count = int(words)
-            except ValueError:
-                errors.append(f"line {lineno}: year {year!r} or words {words!r} is not an integer")
-                continue
-            verdicts = {t: c for t, c in zip(tags, row[len(fixed):]) if c}
-            results.append(CorpusResult(meta, status, verdicts, word_count))
-    if errors:
-        raise ValueError(f"{path}: " + "; ".join(errors))
-    return results, tags
-
-
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    results, tags = _read_results_csv(args.results)
+    results, tags = read_results_csv(args.results)
     print(aggregates_csv(aggregate(results), tags), end="")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    results, _ = _read_results_csv(args.results)
+    results, _ = read_results_csv(args.results)
     truth = load_truth(args.truth)
     print(confusion_csv(confusion(results, truth)), end="")
     return 0
@@ -189,7 +158,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    results, _ = _read_results_csv(args.results)
+    results, _ = read_results_csv(args.results)
     for pid in stratified_sample(results, args.tag, args.n, args.seed):
         print(pid)
     return 0

@@ -122,41 +122,24 @@ def classify_paper(
     return result, render_report(doc, evidences, summaries)
 
 
-def _failure(meta: SourceMeta, exc: Exception) -> str:
-    """The errors.csv message of a paper that failed; call it from the
-    handler, so the log carries the traceback."""
-    log.exception("classifying %s failed", meta.paper_id)
-    return f"{meta.paper_id}: {type(exc).__name__}: {exc}"
-
-
 def classify_file(
-    meta: SourceMeta,
-    bundle: Bundle,
-    config: RunConfig,
-) -> tuple[CorpusResult | None, str | None, str | None]:
-    """Load and classify one paper; returns (result, report, error)."""
-    try:
-        result, report = classify_paper(load_document(meta, config.converter), bundle, config)
-    except Exception as exc:  # per-paper isolation: any failure costs only this paper
-        return None, None, _failure(meta, exc)
-    return result, report, None
-
-
-def _classify_and_write(
     meta: SourceMeta,
     bundle: Bundle,
     config: RunConfig,
     reports_dir: Path | None,
 ) -> tuple[CorpusResult | None, str | None]:
-    """Classify one paper and write its report; returns (result, error).
-    A report that cannot be written fails its paper."""
-    result, report, error = classify_file(meta, bundle, config)
-    if error is None and reports_dir is not None:
-        try:
+    """Load and classify one paper and write its report to
+    `reports_dir/<paper_id>.txt` (none when reports_dir is None); returns
+    (result, error). Any failure, an unwritable report included, costs only
+    this paper: its error is the paper's errors.csv message."""
+    try:
+        result, report = classify_paper(load_document(meta, config.converter), bundle, config)
+        if reports_dir is not None:
             (reports_dir / f"{meta.paper_id}.txt").write_text(report, encoding="utf-8")
-        except OSError as exc:
-            return None, _failure(meta, exc)
-    return result, error
+    except Exception as exc:  # per-paper isolation
+        log.exception("classifying %s failed", meta.paper_id)
+        return None, f"{meta.paper_id}: {type(exc).__name__}: {exc}"
+    return result, None
 
 
 _WORKER_ARGS: tuple[Bundle, RunConfig, Path | None] | None = None
@@ -168,7 +151,7 @@ def _init_worker(bundle: Bundle, config: RunConfig, reports_dir: Path | None) ->
 
 
 def _worker(meta: SourceMeta) -> tuple[CorpusResult | None, str | None]:
-    return _classify_and_write(meta, *_WORKER_ARGS)
+    return classify_file(meta, *_WORKER_ARGS)
 
 
 def run_corpus(
@@ -193,7 +176,7 @@ def run_corpus(
     size = max(1, len(metas) // (jobs * CHUNKS_PER_WORKER))
     workers = min(jobs, math.ceil(len(metas) / size))
     if workers <= 1:
-        rows = [_classify_and_write(meta, bundle, config, reports_dir) for meta in metas]
+        rows = [classify_file(meta, bundle, config, reports_dir) for meta in metas]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only here: its import costs startup
 
@@ -204,12 +187,16 @@ def run_corpus(
     return [(meta, result, error) for meta, (result, error) in zip(metas, rows)]
 
 
+# the leading results.csv columns; one verdict column per tag follows
+RESULT_COLUMNS = ("paper_id", "journal", "year", "words", "status")
+
+
 def emit_csv(results: list[CorpusResult], tags: Sequence[str]) -> str:
     """Per-paper results as RFC-4180 CSV; tag cells are empty for papers
     that were not analyzed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["paper_id", "journal", "year", "words", "status"] + list(tags))
+    writer.writerow(RESULT_COLUMNS + tuple(tags))
     for r in results:
         if r.status == STATUS_ANALYZED:
             cells = [r.tag_verdicts.get(t, VERDICT_NONE) for t in tags]
@@ -217,6 +204,38 @@ def emit_csv(results: list[CorpusResult], tags: Sequence[str]) -> str:
             cells = ["" for _ in tags]
         writer.writerow([r.meta.paper_id, r.meta.journal, r.meta.year, r.word_count, r.status] + cells)
     return buf.getvalue()
+
+
+def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
+    """Rebuild enough of the per-paper results from a results.csv to
+    aggregate, validate, and sample; returns (results, tags). Raises
+    ValueError listing every problem found."""
+    fixed = len(RESULT_COLUMNS)
+    results: list[CorpusResult] = []
+    errors: list[str] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header[:fixed]) != RESULT_COLUMNS:
+            raise ValueError(f"{path}: unexpected results header {header!r}")
+        tags = header[fixed:]
+        for row in reader:
+            lineno = reader.line_num  # a quoted cell may hold a line break
+            if len(row) != len(header):
+                errors.append(f"line {lineno}: {len(row)} cells, the header has {len(header)}")
+                continue
+            pid, journal, year, words, status = row[:fixed]
+            try:
+                meta = SourceMeta(paper_id=pid, journal=journal, year=int(year), path="")
+                word_count = int(words)
+            except ValueError:
+                errors.append(f"line {lineno}: year {year!r} or words {words!r} is not an integer")
+                continue
+            verdicts = {t: c for t, c in zip(tags, row[fixed:]) if c}
+            results.append(CorpusResult(meta, status, verdicts, word_count))
+    if errors:
+        raise ValueError(f"{path}: " + "; ".join(errors))
+    return results, tags
 
 
 def aggregate(results: list[CorpusResult]) -> list[AggregateRow]:

@@ -16,6 +16,7 @@ import re
 import shlex
 import subprocess
 from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -223,6 +224,36 @@ def prefix_region(doc: DocumentText, fraction: float) -> Region:
     return Region(0, math.floor(fraction * len(doc.normalized)))
 
 
+def read_table(
+    path: str | Path, columns: Sequence[str], what: str, parse_row: Callable[[dict], object]
+) -> list:
+    """Read a CSV file whose header has `columns` and return parse_row(row)
+    for each row; `what` names the file when a column is missing. A row holds
+    the cells csv gives, None for a short row's missing ones. Each ValueError
+    parse_row raises, and each row with extra cells, becomes `line N: ...`
+    (N the row's last physical line); one ValueError lists them all."""
+    parsed, errors = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = set(columns) - set(header)
+        if missing:
+            raise ValueError(f"{path}: {what} is missing columns: {sorted(missing)}")
+        for row in reader:
+            lineno = reader.line_num  # a quoted cell may hold a line break
+            if None in row:  # csv puts the cells past the header under None
+                cells = len(header) + len(row[None])
+                errors.append(f"line {lineno}: {cells} cells, the header has {len(header)}")
+                continue
+            try:
+                parsed.append(parse_row(row))
+            except ValueError as exc:
+                errors.append(f"line {lineno}: {exc}")
+    if errors:
+        raise ValueError(f"{path}: " + "; ".join(errors))
+    return parsed
+
+
 def load_manifest(path: str | Path) -> list[SourceMeta]:
     """Read a corpus manifest CSV with header paper_id,journal,year,path.
 
@@ -230,52 +261,34 @@ def load_manifest(path: str | Path) -> list[SourceMeta]:
     ValueError listing every problem found.
     """
     path = Path(path)
-    base = path.parent
-    metas: list[SourceMeta] = []
-    errors: list[str] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"paper_id", "journal", "year", "path"}
-        missing = required - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"{path}: manifest is missing columns: {sorted(missing)}")
-        for row in reader:
-            lineno = reader.line_num  # a quoted cell may hold a line break
-            pid = (row["paper_id"] or "").strip()
-            if not pid:
-                errors.append(f"line {lineno}: empty paper_id")
-                continue
-            if any(ch in pid for ch in "/\\\0"):  # paper_id names the report file
-                errors.append(f"line {lineno}: paper_id {pid!r} contains path separators")
-                continue
-            if pid in seen:
-                errors.append(f"line {lineno}: duplicate paper_id {pid!r}")
-                continue
-            seen.add(pid)
-            try:
-                year = int(row["year"])
-            except (TypeError, ValueError):
-                errors.append(f"line {lineno}: year {row['year']!r} is not an integer")
-                continue
-            if not 1900 <= year <= 2100:
-                errors.append(f"line {lineno}: year {year} outside [1900, 2100]")
-                continue
-            # csv gives None for the missing cells of a short row
-            journal, cell = (row["journal"] or "").strip(), row["path"] or ""
-            if not journal:
-                errors.append(f"line {lineno}: empty journal")
-                continue
-            if not cell.strip():
-                errors.append(f"line {lineno}: empty path")
-                continue
-            p = Path(cell)
-            if not p.is_absolute():
-                p = base / p
-            metas.append(SourceMeta(paper_id=pid, journal=journal, year=year, path=str(p)))
-    if errors:
-        raise ValueError(f"{path}: " + "; ".join(errors))
-    return metas
+
+    def parse(row: dict) -> SourceMeta:
+        pid = (row["paper_id"] or "").strip()
+        if not pid:
+            raise ValueError("empty paper_id")
+        if any(ch in pid for ch in "/\\\0"):  # paper_id names the report file
+            raise ValueError(f"paper_id {pid!r} contains path separators")
+        if pid in seen:
+            raise ValueError(f"duplicate paper_id {pid!r}")
+        seen.add(pid)
+        try:
+            year = int(row["year"])
+        except (TypeError, ValueError):
+            raise ValueError(f"year {row['year']!r} is not an integer") from None
+        if not 1900 <= year <= 2100:
+            raise ValueError(f"year {year} outside [1900, 2100]")
+        journal, cell = (row["journal"] or "").strip(), row["path"] or ""
+        if not journal:
+            raise ValueError("empty journal")
+        if not cell.strip():
+            raise ValueError("empty path")
+        p = Path(cell)
+        if not p.is_absolute():
+            p = path.parent / p
+        return SourceMeta(paper_id=pid, journal=journal, year=year, path=str(p))
+
+    return read_table(path, ("paper_id", "journal", "year", "path"), "manifest", parse)
 
 
 def read_raw_text(meta: SourceMeta, converter: str | None = None) -> str:

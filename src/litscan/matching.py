@@ -83,6 +83,8 @@ class MatchConfig:
             raise ValueError(f"max_edits must be 0 or 1, got {self.max_edits}")
         if self.support_window <= 0:
             raise ValueError("support_window must be positive")
+        if self.skip_window < 0:
+            raise ValueError("skip_window must not be negative")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from pathlib import Path
 from .corpus import Bundle
 from .dsl import AnalyzerSpec
 from .ingest import SourceMeta, make_document, normalize, word_count_of
-from .matching import MatchConfig, osa_distance, run_analyzer
+from .matching import MatchConfig, osa_distance, run_analyzer, scan_pieces
 from .scoring import VERDICT_POSITIVE, resolve_analyzer
 
 FILLER_WORDS = (
@@ -118,17 +118,18 @@ def inject_typo(term: str, rng: random.Random) -> str | None:
     return None
 
 
-def _mini_doc_verdict(chunk: str, spec: AnalyzerSpec, config: MatchConfig, rng: random.Random) -> str:
+def _mini_doc_verdict(chunk: str, spec: AnalyzerSpec, bundle: Bundle, rng: random.Random) -> str:
+    """The verdict of `spec`, one of the bundle's classifiers, on the chunk
+    padded with filler words."""
     pad = " ".join(rng.choice(FILLER_WORDS) for _ in range(8))
     meta = SourceMeta(paper_id="probe", journal="probe", year=2000, path="")
     doc = make_document(meta, f"{pad} {chunk} {pad}")
-    return resolve_analyzer(run_analyzer(doc, spec, config), spec).verdict
+    starts = scan_pieces(doc, bundle.classifiers, bundle.classification_scanner)
+    return resolve_analyzer(run_analyzer(doc, spec, bundle.match, starts), spec).verdict
 
 
-def _pick_typo_chunk(
-    spec: AnalyzerSpec, config: MatchConfig, rng: random.Random
-) -> str | None:
-    terms = fuzzy_terms(spec, config.fuzzy_min_len)
+def _pick_typo_chunk(spec: AnalyzerSpec, bundle: Bundle, rng: random.Random) -> str | None:
+    terms = fuzzy_terms(spec, bundle.match.fuzzy_min_len)
     if not terms:
         return None
     for _ in range(20):
@@ -136,7 +137,7 @@ def _pick_typo_chunk(
         variant = inject_typo(term, rng)
         if variant is None:
             continue
-        if _mini_doc_verdict(variant, spec, config, rng) == VERDICT_POSITIVE:
+        if _mini_doc_verdict(variant, spec, bundle, rng) == VERDICT_POSITIVE:
             return variant
     return None
 
@@ -200,7 +201,7 @@ def generate_corpus(
         for spec in planted:
             chunk = None
             if spec in typo_capable and rng.random() < 0.35:
-                chunk = _pick_typo_chunk(spec, config, rng)
+                chunk = _pick_typo_chunk(spec, compiled, rng)
                 if chunk is not None:
                     typo.append((spec.name, chunk))
             if chunk is None:

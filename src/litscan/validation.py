@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import Bundle, CorpusResult, RunConfig, classify_paper
-from .ingest import STATUS_ANALYZED, SourceMeta, load_document
+from .ingest import STATUS_ANALYZED, SourceMeta, load_document, read_table
 from .scoring import VERDICT_NEGATIVE, VERDICT_NONE, VERDICT_POSITIVE
 
 LABEL_PRESENT = "present"
@@ -44,34 +44,21 @@ def load_truth(path: str | Path) -> list[GroundTruth]:
     """Read ground-truth labels from a CSV with header paper_id,tag,label.
 
     Raises ValueError listing every problem found."""
-    rows: list[GroundTruth] = []
-    errors: list[str] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"paper_id", "tag", "label"} - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"{path}: truth file is missing columns: {sorted(missing)}")
-        for row in reader:
-            lineno = reader.line_num  # a quoted cell may hold a line break
-            # csv gives None for the missing cells of a short row
-            pid, tag, label = ((row[k] or "").strip() for k in ("paper_id", "tag", "label"))
-            if not pid or not tag:
-                errors.append(f"line {lineno}: empty {'paper_id' if not pid else 'tag'}")
-                continue
-            label = label.lower()
-            if label not in (LABEL_PRESENT, LABEL_ABSENT):
-                errors.append(f"line {lineno}: label must be present or absent, got {label!r}")
-                continue
-            key = (pid, tag)
-            if key in seen:
-                errors.append(f"line {lineno}: duplicate (paper_id, tag) pair {key}")
-                continue
-            seen.add(key)
-            rows.append(GroundTruth(key[0], key[1], label))
-    if errors:
-        raise ValueError(f"{path}: " + "; ".join(errors))
-    return rows
+
+    def parse(row: dict) -> GroundTruth:
+        pid, tag, label = ((row[k] or "").strip() for k in ("paper_id", "tag", "label"))
+        if not pid or not tag:
+            raise ValueError(f"empty {'paper_id' if not pid else 'tag'}")
+        label = label.lower()
+        if label not in (LABEL_PRESENT, LABEL_ABSENT):
+            raise ValueError(f"label must be present or absent, got {label!r}")
+        if (pid, tag) in seen:
+            raise ValueError(f"duplicate (paper_id, tag) pair {(pid, tag)}")
+        seen.add((pid, tag))
+        return GroundTruth(pid, tag, label)
+
+    return read_table(path, ("paper_id", "tag", "label"), "truth file", parse)
 
 
 def confusion(results: list[CorpusResult], truth: list[GroundTruth]) -> list[ConfusionRow]:

@@ -362,6 +362,14 @@ def test_cli_config_error_exit_code(tmp_path):
     assert rc == 1
 
 
+def test_cli_rejects_a_negative_skip_window(capsys, tmp_path):
+    paper = tmp_path / "solo.txt"
+    paper.write_text("We used a Student t-test here. The unit tests were run on every build.", encoding="utf-8")
+    assert main(["report", str(paper), "--analyzers", str(ANALYZER_DIR), "--short-threshold", "0",
+                 "--skip-window=-20"]) == 1
+    assert "error: skip_window must not be negative" in capsys.readouterr().err
+
+
 def test_cli_check_analyzers_and_report(capsys, tmp_path):
     assert main(["check-analyzers", "--analyzers", str(ANALYZER_DIR)]) == 0
     captured = capsys.readouterr().out

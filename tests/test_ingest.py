@@ -258,7 +258,8 @@ def test_load_manifest_rejects_bad_rows(tmp_path):
         "p2,EMSE,1850,c.txt\n"
         "p3,EMSE,notayear,d.txt\n"
         "p4,EMSE,2015\n"
-        "p5,,2015,e.txt\n",
+        "p5,,2015,e.txt\n"
+        "p6,EMSE,2015,docs/a,b.txt\n",
         encoding="utf-8",
     )
     with pytest.raises(ValueError) as err:
@@ -266,6 +267,7 @@ def test_load_manifest_rejects_bad_rows(tmp_path):
     message = str(err.value)
     assert "duplicate" in message and "1850" in message and "notayear" in message
     assert "line 6: empty path" in message and "line 7: empty journal" in message
+    assert "line 8: 5 cells, the header has 4" in message
 
 
 def test_load_manifest_numbers_file_lines_after_a_multiline_cell(tmp_path):

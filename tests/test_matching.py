@@ -510,6 +510,16 @@ def _match_at(text: str, term: str) -> EvidenceMatch:
     )
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("skip_window", -1, "skip_window must not be negative"),
+    ("support_window", 0, "support_window must be positive"),
+])
+def test_match_config_rejects_bad_windows(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        MatchConfig(**{field: value})
+    assert MatchConfig(skip_window=0).skip_window == 0
+
+
 def test_skip_fires_inside_unit_tests():
     text = "several unit tests were written"
     m = _match_at(text, "t test")

@@ -95,10 +95,12 @@ def test_confusion_csv_header():
 
 def test_load_truth_validates(tmp_path):
     path = tmp_path / "truth.csv"
-    path.write_text("paper_id,tag,label\np1,t,present\np1,t,absent\np2,t,maybe\n", encoding="utf-8")
+    path.write_text("paper_id,tag,label\np1,t,present\np1,t,absent\np2,t,maybe\np3,t,present,x\n",
+                    encoding="utf-8")
     with pytest.raises(ValueError) as err:
         load_truth(path)
     assert "duplicate" in str(err.value) and "maybe" in str(err.value)
+    assert "line 5: 4 cells, the header has 3" in str(err.value)
 
 
 def test_load_truth_reports_short_rows_and_empty_cells(tmp_path):
