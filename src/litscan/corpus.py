@@ -6,6 +6,7 @@ Pipeline order per paper: short-text gate, then exclusion analyzers, then
 isolated so a batch run never aborts on one bad file.
 """
 
+import contextlib
 import csv
 import functools
 import io
@@ -131,13 +132,17 @@ def classify_file(
     """Load and classify one paper and write its report to
     `reports_dir/<paper_id>.txt` (none when reports_dir is None); returns
     (result, error). Any failure, an unwritable report included, costs only
-    this paper: its error is the paper's errors.csv message."""
+    this paper: its error is the paper's errors.csv message, and its report,
+    even one an earlier run wrote, is removed."""
     try:
         result, report = classify_paper(load_document(meta, config.converter), bundle, config)
         if reports_dir is not None:
             (reports_dir / f"{meta.paper_id}.txt").write_text(report, encoding="utf-8")
     except Exception as exc:  # per-paper isolation
         log.exception("classifying %s failed", meta.paper_id)
+        if reports_dir is not None:
+            with contextlib.suppress(OSError):  # the error row is written either way
+                (reports_dir / f"{meta.paper_id}.txt").unlink(missing_ok=True)
         return None, f"{meta.paper_id}: {type(exc).__name__}: {exc}"
     return result, None
 

@@ -6,7 +6,8 @@ inside hyphenated words, unstable whitespace, apostrophe variants, soft
 hyphens, Latin ligatures) while keeping an offset map back to the raw text so
 report snippets can show the original context. The map is piecewise linear:
 a short tuple of (norm_start, raw_start) breakpoints, one wherever the
-one-to-one correspondence breaks, read with `raw_index`.
+one-to-one correspondence breaks, read with `raw_index`. Damaged text takes
+one pass that builds the normalized text and the map together.
 """
 
 import csv
@@ -40,24 +41,13 @@ _OTHER_SPACES = (
     "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003"
     "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
-# separators and dropped characters; a maximal run of them is a gap
-_GAP = " " + _OTHER_SPACES + _HYPHENS + _DROPPED
 # U+FB00-U+FB06, each with its NFKC form
 _LIGATURES = {"ﬀ": "ff", "ﬁ": "fi", "ﬂ": "fl", "ﬃ": "ffi", "ﬄ": "ffl", "ﬅ": "st", "ﬆ": "st"}
-_GAP_RUN = re.compile(f"[{re.escape(_GAP)}]+")
-# Where the offset map can break, apart from double spaces (str.find): every
-# dropped character and ligature, and every separator other than " " with a
-# gap character next to it. A lone separator between two words maps one to
-# one. The pattern opens with one character class, which lets the regex
-# engine skip plain text at C speed; the lookarounds drop lone separators.
-_IRREGULAR = re.compile(
-    "[{irregular}](?:(?<=[{always}])|(?<=[{gap}][{irregular}])|(?=[{gap}]))".format(
-        irregular=re.escape(_OTHER_SPACES + _HYPHENS + _DROPPED + "".join(_LIGATURES)),
-        always=re.escape(_DROPPED + "".join(_LIGATURES)),
-        gap=re.escape(_GAP),
-    )
-)
-
+# Once every separator is " " and every dropped character "'", a gap is a
+# maximal run of both; one that is not a lone space starts with "'" or "  ".
+# Each pattern opens with a literal, which the regex engine skips to in C.
+_APOSTROPHE_GAPS = re.compile("'[ ']*")
+_DOUBLE_SPACE_GAPS = re.compile("  [ ']*")
 
 # (norm_start, raw_start) breakpoints; see normalize
 OffsetMap = tuple[tuple[int, int], ...]
@@ -118,67 +108,64 @@ def normalize(raw: str) -> tuple[str, OffsetMap]:
     breakpoint (0, raw_start) of the first kept character. The map is
     non-decreasing, and normalize is idempotent (re-normalizing yields the
     same text and the identity map, ((0, 0),)).
+
+    First every separator becomes " ", every dropped character "'", 'İ' 'i'
+    and 'Σ' 'σ', one for one. An ASCII text in which nothing moved is then
+    done with str methods; any other text takes one pass over its ligatures
+    and the gaps that are not a lone space, which joins the lowered slices
+    between them and adds a breakpoint wherever raw - norm changes (lowering
+    slices is exact: 'Σ', the one character lowered by context, is gone).
     """
     text = raw
-    for dropped in _DROPPED:
-        text = text.replace(dropped, "")
-    for hyphen in _HYPHENS:
-        text = text.replace(hyphen, " ")
-    length = len(text)
-    for ligature, letters in _LIGATURES.items():
-        text = text.replace(ligature, letters)
-    expanded = len(text) != length
-    # str.split() splits on " " and _OTHER_SPACES; collapsing them in place
-    # gives the same text without building a list of words
-    for space in _OTHER_SPACES:
-        text = text.replace(space, " ")
-    while "  " in text:
-        text = text.replace("  ", " ")
-    text = text.strip(" ").replace("İ", "i").replace("Σ", "σ").lower()
-    start = len(raw) - len(raw.lstrip(_GAP))
-    stop = len(raw.rstrip(_GAP))
-    # with no ligature, one normalized character per raw one between the
-    # edges means every gap there is a lone separator: nothing moved
-    if not expanded and len(text) == stop - start:
-        return text, ((0, start),)
-    return text, _offset_map(raw, start, stop)
-
-
-def _offset_map(raw: str, start: int, stop: int) -> OffsetMap:
-    """Breakpoints of normalize's offset map; start and stop bound raw
-    without its leading and trailing gaps. Python runs once per gap that is
-    not a lone separator and once per ligature."""
-    hits = [m.start() for m in _IRREGULAR.finditer(raw, start, stop)]
-    at = raw.find("  ", start, stop)
-    while at != -1:
-        hits.append(at)
-        at = raw.find("  ", _GAP_RUN.match(raw, at).end(), stop)
-    omap = [(0, start)]
-    gap_end = 0
-    for at in sorted(hits):
-        if at < gap_end:
-            continue  # inside a gap already mapped
-        n0, r0 = omap[-1]
-        letters = _LIGATURES.get(raw[at])
-        if letters:
-            n = at - r0 + n0
+    for separator in _OTHER_SPACES + _HYPHENS:
+        text = text.replace(separator, " ")
+    for dropped in _DROPPED[1:]:  # all but the leading "'"
+        text = text.replace(dropped, "'")
+    text = text.replace("İ", "i").replace("Σ", "σ")
+    start = len(text) - len(text.lstrip(" '"))
+    stop = len(text.rstrip(" '"))
+    if text.isascii() and text.find("'", start, stop) < 0 and text.find("  ", start, stop) < 0:
+        return text[start:stop].lower(), ((0, start),)  # nothing moved
+    spots = [m.span() for m in _APOSTROPHE_GAPS.finditer(text, start, stop)]
+    spots += [m.span() for m in _DOUBLE_SPACE_GAPS.finditer(text, start, stop)]
+    for ligature in _LIGATURES:
+        at = text.find(ligature, start, stop)
+        while at != -1:
+            spots.append((at, at + 1))
+            at = text.find(ligature, at + 1, stop)
+    spots.sort()
+    parts, omap = [], [(0, start)]
+    pos, n, offset = start, 0, start  # next raw index, text length so far, raw - norm
+    for at, end in spots:
+        if at < pos:
+            continue  # inside a gap already passed
+        letters = _LIGATURES.get(text[at])
+        if letters:  # every letter maps to the ligature
+            parts += text[pos:at].lower(), letters
+            n += at - pos
             omap.extend((n + k, at) for k in range(1, len(letters)))
+            n += len(letters)
+            pos = at + 1
+            offset = pos - n
             continue
-        # the gap's first character is the one before `at` only if that is
-        # a lone space: a double space is itself a hit
-        gap_start = at - 1 if raw[at - 1] == " " else at
-        gap_end = _GAP_RUN.match(raw, at).end()
-        n = gap_start - r0 + n0
-        separators = raw[gap_start:gap_end].lstrip(_DROPPED)
-        if separators:  # a space at n from the first separator, then the next word
-            points = ((n, gap_end - len(separators)), (n + 1, gap_end))
-        else:  # dropped characters alone vanish
-            points = ((n, gap_end),)
-        for n, r in points:
-            n0, r0 = omap[-1]
-            if r - n != r0 - n0:
-                omap.append((n, r))
-    return tuple(omap)
+        if text[at - 1] == " ":  # a lone space opened the gap (a double one is a spot)
+            at -= 1
+        parts.append(text[pos:at].lower())
+        n += at - pos
+        space = text.find(" ", at, end)
+        if space == -1:  # dropped characters alone vanish
+            points = ((n, end),)
+        else:  # a space at n from the first separator, then the next word
+            parts.append(" ")
+            points = ((n, space), (n + 1, end))
+            n += 1
+        for point in points:
+            if point[1] - point[0] != offset:
+                omap.append(point)
+                offset = point[1] - point[0]
+        pos = end
+    parts.append(text[pos:stop].lower())
+    return "".join(parts), tuple(omap)
 
 
 def raw_index(offset_map: OffsetMap, i: int) -> int:
@@ -295,11 +282,15 @@ def read_raw_text(meta: SourceMeta, converter: str | None = None) -> str:
     """Fetch a paper's raw text, optionally through an external converter
     command template with an {input} placeholder (stdout is taken as the
     text). A converter still running after CONVERTER_TIMEOUT seconds is
-    killed and subprocess.TimeoutExpired raised."""
+    killed (TimeoutExpired); a non-zero exit raises RuntimeError with the
+    exit status and the last line of the converter's stderr."""
     if converter is None:
         return Path(meta.path).read_text(encoding="utf-8", errors="replace")
     argv = [tok.replace("{input}", meta.path) for tok in shlex.split(converter)]
-    proc = subprocess.run(argv, capture_output=True, check=True, timeout=CONVERTER_TIMEOUT)
+    proc = subprocess.run(argv, capture_output=True, timeout=CONVERTER_TIMEOUT)
+    if proc.returncode:
+        last = (proc.stderr.decode("utf-8", errors="replace").strip().splitlines() or [""])[-1]
+        raise RuntimeError(f"converter {argv[0]!r} exited with status {proc.returncode}: {last}")
     return proc.stdout.decode("utf-8", errors="replace")
 
 

@@ -22,7 +22,8 @@ from litscan.corpus import (
     emit_csv,
     run_corpus,
 )
-from litscan.ingest import SourceMeta, load_manifest, prefix_region
+from litscan.ingest import SourceMeta, load_manifest, normalize, prefix_region
+from litscan.report import _raw_span
 
 
 def _result(pid, journal, year, status="analyzed", verdicts=None, words=5000):
@@ -100,6 +101,23 @@ def test_report_keeps_evidence_lines_whole_across_line_breaks(compiled):
     evidence = [line for line in report.splitlines() if "»" in line]
     assert evidence and all("«" in line for line in evidence)
     assert any(line.endswith("supports: [used]") for line in evidence)
+
+
+@pytest.mark.parametrize("fixture", sorted(REGRESSION_DIR.glob("*.txt")), ids=lambda p: p.stem)
+def test_report_snippets_quote_the_raw_text_of_each_match(fixture, compiled, monkeypatch):
+    # the regression fixtures hold ligatures, soft hyphens, dashes and 'İ':
+    # the raw span a report quotes must normalize back to the matched span
+    rendered = []
+    monkeypatch.setattr(corpus, "render_report", lambda doc, evidences, _: rendered.append((doc, evidences)))
+    meta = SourceMeta(fixture.stem, "regression", 2000, str(fixture))
+    classify_paper(ingest.load_document(meta), compiled, RunConfig(short_threshold=0))
+    (doc, evidences), = rendered
+    matches = [m for ev in evidences for m in ev.positive_matches + ev.negative_matches + ev.skipped_matches]
+    spans = [m.span for m in matches] + [span for m in matches for _, span in m.matched_supports]
+    assert matches
+    for span in spans:
+        rs, re_ = _raw_span(doc, span)
+        assert doc.normalized[span.start:span.end] in normalize(doc.raw[rs:re_])[0]
 
 
 def test_emit_csv_worked_row_ordering():
@@ -479,6 +497,32 @@ def test_cli_converter_timeout_fails_only_its_paper(tmp_path, monkeypatch):
     errors = _csv_rows(out / "errors.csv")
     assert errors[1][0] == "slow" and "slow: TimeoutExpired: " in errors[1][1]
     assert _csv_rows(out / "results.csv")[1:] == []
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_failing_rerun_removes_the_papers_stale_report(jobs, tmp_path):
+    # two papers, so that --jobs 2 runs them in a pool
+    texts = {pid: f"We used a Student's t-test in {pid}. " + " ".join(filler(90, seed=i))
+             for i, pid in enumerate(("a", "b"))}
+    manifest = _write_corpus(tmp_path, texts)
+    out = tmp_path / "out"
+    args = ["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+            "--out", str(out), "--short-threshold", "50", "--jobs", jobs]
+    assert main(args) == 0
+    assert (out / "reports" / "a.txt").is_file() and (out / "reports" / "b.txt").is_file()
+    assert main(args + ["--converter", "sh -c 'echo boom >&2; exit 3'"]) == 2
+    errors = _csv_rows(out / "errors.csv")
+    assert [e[0] for e in errors[1:]] == ["a", "b"]
+    assert all("exited with status 3: boom" in e[1] for e in errors[1:])
+    assert list((out / "reports").iterdir()) == []
+
+
+def test_converter_error_names_its_status_and_last_stderr_line(tmp_path):
+    meta = SourceMeta("p", "J", 2011, str(tmp_path / "p.txt"))
+    with pytest.raises(RuntimeError, match=r"exited with status 1: last �$"):
+        ingest.read_raw_text(meta, "sh -c 'printf \"first\\nlast \\377\\n\" >&2; exit 1'")
+    (tmp_path / "p.txt").write_text("text", encoding="utf-8")
+    assert ingest.read_raw_text(meta, "cat {input}") == "text"
 
 
 def test_cli_unwritable_report_costs_only_its_paper(tmp_path):
