@@ -289,7 +289,7 @@ def read_raw_text(meta: SourceMeta, converter: str | None = None) -> str:
     argv = [tok.replace("{input}", meta.path) for tok in shlex.split(converter)]
     proc = subprocess.run(argv, capture_output=True, timeout=CONVERTER_TIMEOUT)
     if proc.returncode:
-        last = (proc.stderr.decode("utf-8", errors="replace").strip().splitlines() or [""])[-1]
+        last = proc.stderr.decode("utf-8", errors="replace").strip().rpartition("\n")[2]
         raise RuntimeError(f"converter {argv[0]!r} exited with status {proc.returncode}: {last}")
     return proc.stdout.decode("utf-8", errors="replace")
 
