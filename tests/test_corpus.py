@@ -111,7 +111,7 @@ def test_report_snippets_quote_the_raw_text_of_each_match(fixture, compiled, mon
     monkeypatch.setattr(corpus, "render_report", lambda doc, evidences, _: rendered.append((doc, evidences)))
     meta = SourceMeta(fixture.stem, "regression", 2000, str(fixture))
     classify_paper(ingest.load_document(meta), compiled, RunConfig(short_threshold=0))
-    (doc, evidences), = rendered
+    [(doc, evidences)] = rendered
     matches = [m for ev in evidences for m in ev.positive_matches + ev.negative_matches + ev.skipped_matches]
     spans = [m.span for m in matches] + [span for m in matches for _, span in m.matched_supports]
     assert matches
