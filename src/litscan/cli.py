@@ -16,7 +16,6 @@ failures during a classify run.
 """
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
@@ -33,7 +32,7 @@ from .corpus import (
     run_corpus,
 )
 from .dsl import AnalyzerParseError, BundleError, load_bundle
-from .ingest import DEFAULT_SHORT_THRESHOLD, SourceMeta, load_document, load_manifest
+from .ingest import DEFAULT_SHORT_THRESHOLD, SourceMeta, load_document, load_manifest, table_text
 from .matching import (
     DEFAULT_FUZZY_MIN_LEN,
     DEFAULT_MAX_EDITS,
@@ -98,15 +97,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     (out / "results.csv").write_text(emit_csv(results, bundle.tags), encoding="utf-8", newline="")
     (out / "aggregates.csv").write_text(
-        aggregates_csv(aggregate(results), bundle.tags), encoding="utf-8", newline=""
+        aggregates_csv(aggregate(results, bundle.tags), bundle.tags), encoding="utf-8", newline=""
     )
     # errors.csv exists only when this run had failures, whatever an earlier run left in --out
     (out / "errors.csv").unlink(missing_ok=True)
     if errors:
-        with open(out / "errors.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(["paper_id", "error"])
-            writer.writerows(errors)
+        (out / "errors.csv").write_text(table_text(["paper_id", "error"], errors), encoding="utf-8", newline="")
         log.warning("%d of %d papers failed; see errors.csv", len(errors), len(metas))
         return 2
     log.info("classified %d papers into %s", len(results), out)
@@ -140,7 +136,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     results, tags = read_results_csv(args.results)
-    print(aggregates_csv(aggregate(results), tags), end="")
+    print(aggregates_csv(aggregate(results, tags), tags), end="")
     return 0
 
 

@@ -9,7 +9,6 @@ isolated so a batch run never aborts on one bad file.
 import contextlib
 import csv
 import functools
-import io
 import logging
 import math
 from collections.abc import Iterable, Sequence
@@ -26,6 +25,7 @@ from .ingest import (
     SourceMeta,
     gate_short,
     load_document,
+    table_text,
 )
 from .matching import MatchConfig, PieceScanner, group_scanner, run_analyzer, scan_pieces
 from .report import render_report
@@ -90,7 +90,6 @@ class AggregateRow:
     papers_total: int
     papers_analyzed: int
     positives: dict[str, int]
-    scores: dict[str, float]
 
 
 def _evidence(
@@ -201,18 +200,17 @@ RESULT_COLUMNS = ("paper_id", "journal", "year", "words", "status")
 
 
 def emit_csv(results: list[CorpusResult], tags: Sequence[str]) -> str:
-    """Per-paper results as RFC-4180 CSV; tag cells are empty for papers
-    that were not analyzed."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(RESULT_COLUMNS + tuple(tags))
-    for r in results:
-        if r.status == STATUS_ANALYZED:
-            cells = [r.tag_verdicts.get(t, VERDICT_NONE) for t in tags]
-        else:
-            cells = ["" for _ in tags]
-        writer.writerow([r.meta.paper_id, r.meta.journal, r.meta.year, r.word_count, r.status] + cells)
-    return buf.getvalue()
+    """Per-paper results as a table; tag cells are empty for papers that
+    were not analyzed."""
+    blank = [""] * len(tags)
+    return table_text(
+        RESULT_COLUMNS + tuple(tags),
+        (
+            [r.meta.paper_id, r.meta.journal, r.meta.year, r.word_count, r.status]
+            + ([r.tag_verdicts.get(t, VERDICT_NONE) for t in tags] if r.status == STATUS_ANALYZED else blank)
+            for r in results
+        ),
+    )
 
 
 def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
@@ -256,10 +254,9 @@ def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
     return results, tags
 
 
-def aggregate(results: list[CorpusResult]) -> list[AggregateRow]:
-    """One row per (journal, year): paper counts, per-tag positive counts,
-    and the positive count normalized by analyzed papers."""
-    tags = sorted({t for r in results for t in r.tag_verdicts})
+def aggregate(results: list[CorpusResult], tags: Sequence[str]) -> list[AggregateRow]:
+    """One row per (journal, year): paper counts and the positive count of
+    each of `tags`."""
     cells: dict[tuple[str, int], list[CorpusResult]] = {}
     for r in results:
         cells.setdefault((r.meta.journal, r.meta.year), []).append(r)
@@ -270,32 +267,21 @@ def aggregate(results: list[CorpusResult]) -> list[AggregateRow]:
         positives = {
             t: sum(1 for r in analyzed if r.tag_verdicts.get(t) == VERDICT_POSITIVE) for t in tags
         }
-        scores = {
-            t: (positives[t] / len(analyzed) if analyzed else 0.0) for t in tags
-        }
-        rows.append(
-            AggregateRow(
-                journal=journal,
-                year=year,
-                papers_total=len(group),
-                papers_analyzed=len(analyzed),
-                positives=positives,
-                scores=scores,
-            )
-        )
+        rows.append(AggregateRow(journal, year, len(group), len(analyzed), positives))
     return rows
 
 
 def aggregates_csv(rows: list[AggregateRow], tags: Sequence[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
+    """Aggregate rows as a table; a tag's score is its positive count over
+    the analyzed papers, 0 when there are none."""
     header = ["journal", "year", "papers_total", "papers_analyzed"]
     for t in tags:
         header += [f"{t}_positive", f"{t}_score"]
-    writer.writerow(header)
+    body = []
     for row in rows:
         cells = [row.journal, row.year, row.papers_total, row.papers_analyzed]
         for t in tags:
-            cells += [row.positives.get(t, 0), format(row.scores.get(t, 0.0), ".6g")]
-        writer.writerow(cells)
-    return buf.getvalue()
+            score = row.positives[t] / row.papers_analyzed if row.papers_analyzed else 0.0
+            cells += [row.positives[t], format(score, ".6g")]
+        body.append(cells)
+    return table_text(header, body)

@@ -11,13 +11,14 @@ one pass that builds the normalized text and the map together.
 """
 
 import csv
+import io
 import logging
 import math
 import re
 import shlex
 import subprocess
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -212,6 +213,16 @@ def prefix_region(doc: DocumentText, fraction: float) -> Region:
     return Region(0, math.floor(fraction * len(doc.normalized)))
 
 
+def table_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """A table as RFC-4180 CSV with CRLF line ends: the one dialect of every
+    table litscan writes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def read_table(
     path: str | Path, columns: Sequence[str], what: str, parse_row: Callable[[dict], object]
 ) -> list:
@@ -242,8 +253,11 @@ def read_table(
     return parsed
 
 
+MANIFEST_COLUMNS = ("paper_id", "journal", "year", "path")
+
+
 def load_manifest(path: str | Path) -> list[SourceMeta]:
-    """Read a corpus manifest CSV with header paper_id,journal,year,path.
+    """Read a corpus manifest CSV with the header MANIFEST_COLUMNS.
 
     Relative paths are resolved against the manifest's directory. Raises
     ValueError listing every problem found.
@@ -276,7 +290,7 @@ def load_manifest(path: str | Path) -> list[SourceMeta]:
             p = path.parent / p
         return SourceMeta(paper_id=pid, journal=journal, year=year, path=str(p))
 
-    return read_table(path, ("paper_id", "journal", "year", "path"), "manifest", parse)
+    return read_table(path, MANIFEST_COLUMNS, "manifest", parse)
 
 
 def read_raw_text(meta: SourceMeta, converter: str | None = None) -> str:

@@ -15,7 +15,6 @@ are re-drawn until the target analyzer verifies positive on a miniature
 document, so every planting is guaranteed detectable by construction.
 """
 
-import csv
 import random
 import string
 from dataclasses import dataclass
@@ -23,9 +22,10 @@ from pathlib import Path
 
 from .corpus import Bundle
 from .dsl import AnalyzerSpec
-from .ingest import SourceMeta, make_document, normalize, word_count_of
+from .ingest import MANIFEST_COLUMNS, SourceMeta, make_document, normalize, table_text, word_count_of
 from .matching import MatchConfig, osa_distance, run_analyzer, scan_pieces
 from .scoring import VERDICT_POSITIVE, resolve_analyzer
+from .validation import LABEL_ABSENT, LABEL_PRESENT, TRUTH_COLUMNS
 
 FILLER_WORDS = (
     "the of and to in for with on by from as at about under over between "
@@ -233,7 +233,7 @@ def generate_corpus(
         positive_analyzers = {n for n, _ in exact} | {n for n, _ in typo}
         positive_tags = {t for n in positive_analyzers for t in by_name[n].tags}
         for tag in tags:
-            truth_rows.append([paper_id, tag, "present" if tag in positive_tags else "absent"])
+            truth_rows.append([paper_id, tag, LABEL_PRESENT if tag in positive_tags else LABEL_ABSENT])
 
         plans.append(
             DocPlan(
@@ -249,24 +249,15 @@ def generate_corpus(
         )
 
     manifest_path = out_dir / "manifest.csv"
-    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["paper_id", "journal", "year", "path"])
-        writer.writerows(manifest_rows)
-
+    manifest_path.write_text(table_text(MANIFEST_COLUMNS, manifest_rows), encoding="utf-8", newline="")
     truth_path = out_dir / "truth.csv"
-    with open(truth_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["paper_id", "tag", "label"])
-        writer.writerows(truth_rows)
-
-    with open(out_dir / "plantings.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["paper_id", "exact", "typo", "negated", "traps"])
-        for p in plans:
-            writer.writerow(
-                [p.paper_id, ";".join(p.exact), ";".join(p.typo), ";".join(p.negated), p.traps]
-            )
+    truth_path.write_text(table_text(TRUTH_COLUMNS, truth_rows), encoding="utf-8", newline="")
+    plantings = (
+        [p.paper_id, ";".join(p.exact), ";".join(p.typo), ";".join(p.negated), p.traps] for p in plans
+    )
+    (out_dir / "plantings.csv").write_text(
+        table_text(["paper_id", "exact", "typo", "negated", "traps"], plantings), encoding="utf-8", newline=""
+    )
 
     return SyntheticCorpus(
         out_dir=out_dir,

@@ -4,16 +4,16 @@ manual review rounds.
 """
 
 import csv
-import io
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import Bundle, CorpusResult, RunConfig, classify_paper
-from .ingest import STATUS_ANALYZED, SourceMeta, load_document, read_table
+from .ingest import STATUS_ANALYZED, SourceMeta, load_document, read_table, table_text
 from .scoring import VERDICT_NEGATIVE, VERDICT_NONE, VERDICT_POSITIVE
 
+TRUTH_COLUMNS = ("paper_id", "tag", "label")
 LABEL_PRESENT = "present"
 LABEL_ABSENT = "absent"
 
@@ -21,7 +21,7 @@ LABEL_ABSENT = "absent"
 class GroundTruth(NamedTuple):
     paper_id: str
     tag: str
-    label: str  # "present" | "absent"
+    label: str  # LABEL_PRESENT | LABEL_ABSENT
 
 
 @dataclass(frozen=True)
@@ -41,24 +41,24 @@ class ConfusionRow:
 
 
 def load_truth(path: str | Path) -> list[GroundTruth]:
-    """Read ground-truth labels from a CSV with header paper_id,tag,label.
+    """Read ground-truth labels from a CSV with the header TRUTH_COLUMNS.
 
     Raises ValueError listing every problem found."""
     seen: set[tuple[str, str]] = set()
 
     def parse(row: dict) -> GroundTruth:
-        pid, tag, label = ((row[k] or "").strip() for k in ("paper_id", "tag", "label"))
+        pid, tag, label = ((row[k] or "").strip() for k in TRUTH_COLUMNS)
         if not pid or not tag:
             raise ValueError(f"empty {'paper_id' if not pid else 'tag'}")
         label = label.lower()
         if label not in (LABEL_PRESENT, LABEL_ABSENT):
-            raise ValueError(f"label must be present or absent, got {label!r}")
+            raise ValueError(f"label must be {LABEL_PRESENT} or {LABEL_ABSENT}, got {label!r}")
         if (pid, tag) in seen:
             raise ValueError(f"duplicate (paper_id, tag) pair {(pid, tag)}")
         seen.add((pid, tag))
         return GroundTruth(pid, tag, label)
 
-    return read_table(path, ("paper_id", "tag", "label"), "truth file", parse)
+    return read_table(path, TRUTH_COLUMNS, "truth file", parse)
 
 
 def confusion(results: list[CorpusResult], truth: list[GroundTruth]) -> list[ConfusionRow]:
@@ -97,15 +97,14 @@ def confusion(results: list[CorpusResult], truth: list[GroundTruth]) -> list[Con
 
 
 def confusion_csv(rows: list[ConfusionRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["tag", "P", "FP", "TN", "FN", "total", "fn_negative", "fn_none"])
-    for r in rows:
-        writer.writerow(
+    return table_text(
+        ["tag", "P", "FP", "TN", "FN", "total", "fn_negative", "fn_none"],
+        (
             [r.tag, r.true_positive, r.false_positive, r.true_negative,
              r.false_negative, r.total_labeled, r.fn_negative, r.fn_none]
-        )
-    return buf.getvalue()
+            for r in rows
+        ),
+    )
 
 
 def _load_expected(path: Path) -> dict[str, str]:

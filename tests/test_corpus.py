@@ -210,17 +210,18 @@ def test_aggregate_arithmetic():
         _result(f"p{i}", "EMSE", 2015, verdicts={"non_parametric_test": "positive" if i < 4 else "none"})
         for i in range(10)
     ]
-    (row,) = aggregate(results)
+    (row,) = aggregate(results, ["non_parametric_test"])
     assert row.papers_total == 10 and row.papers_analyzed == 10
     assert row.positives["non_parametric_test"] == 4
-    assert row.scores["non_parametric_test"] == 0.4
+    assert list(csv.reader(io.StringIO(aggregates_csv([row], ["non_parametric_test"]))))[1][-1] == "0.4"
 
 
 def test_aggregate_degenerate_cell():
     results = [_result("p1", "J", 2001, status="excluded_secondary")]
-    (row,) = aggregate(results)
+    (row,) = aggregate(results, ["ta"])
     assert row.papers_total == 1 and row.papers_analyzed == 0
-    assert all(v == 0.0 for v in row.scores.values())
+    assert row.positives == {"ta": 0}
+    assert list(csv.reader(io.StringIO(aggregates_csv([row], ["ta"]))))[1][-2:] == ["0", "0"]
 
 
 def test_aggregate_row_per_journal_year():
@@ -229,7 +230,7 @@ def test_aggregate_row_per_journal_year():
         for j in ("A", "B", "C")
         for y in (2001, 2002)
     ]
-    rows = aggregate(results)
+    rows = aggregate(results, [])
     assert [(r.journal, r.year) for r in rows] == [
         ("A", 2001), ("A", 2002), ("B", 2001), ("B", 2002), ("C", 2001), ("C", 2002)
     ]
@@ -603,7 +604,7 @@ def test_aggregate_positive_counts_match_csv_cells():
     ]
     tags = ["ta", "tb"]
     csv_rows = list(csv.reader(io.StringIO(emit_csv(results, tags))))[1:]
-    for row in aggregate(results):
+    for row in aggregate(results, tags):
         cell_rows = [r for r in csv_rows if r[1] == row.journal and int(r[2]) == row.year]
         csv_positive = sum(r[5:].count("positive") for r in cell_rows)
         assert sum(row.positives.values()) == csv_positive
@@ -615,7 +616,7 @@ def test_aggregates_csv_score_formatting():
         _result(f"p{i}", "J", 2001, verdicts={"ta": "positive" if i == 0 else "none"})
         for i in range(3)
     ]
-    text = aggregates_csv(aggregate(results), ["ta"])
+    text = aggregates_csv(aggregate(results, ["ta"]), ["ta"])
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["journal", "year", "papers_total", "papers_analyzed", "ta_positive", "ta_score"]
     assert rows[1] == ["J", "2001", "3", "3", "1", "0.333333"]
