@@ -140,9 +140,18 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_results(path: str, tags: set[str]) -> list[CorpusResult]:
+    """The results of a results.csv that has a column for each of `tags`."""
+    results, columns = read_results_csv(path)
+    missing = sorted(tags - set(columns))
+    if missing:
+        raise ValueError(f"{path}: results has no column for tags {missing}")
+    return results
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
-    results, _ = read_results_csv(args.results)
     truth = load_truth(args.truth)
+    results = _read_results(args.results, {t.tag for t in truth})
     print(confusion_csv(confusion(results, truth)), end="")
     return 0
 
@@ -154,7 +163,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    results, _ = read_results_csv(args.results)
+    results = _read_results(args.results, {args.tag})
     for pid in stratified_sample(results, args.tag, args.n, args.seed):
         print(pid)
     return 0

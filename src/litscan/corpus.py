@@ -23,6 +23,7 @@ from .ingest import (
     STATUSES,
     DocumentText,
     SourceMeta,
+    check_header,
     gate_short,
     load_document,
     table_text,
@@ -225,6 +226,7 @@ def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
         header = next(reader, [])
         if tuple(header[:fixed]) != RESULT_COLUMNS:
             raise ValueError(f"{path}: unexpected results header {header!r}")
+        check_header(path, header, "results")
         tags = header[fixed:]
         for row in reader:
             lineno = reader.line_num  # a quoted cell may hold a line break
@@ -243,6 +245,9 @@ def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
                 errors.append(f"line {lineno}: status {status!r} is not one of {', '.join(STATUSES)}")
             elif verdicts and status != STATUS_ANALYZED:
                 errors.append(f"line {lineno}: a paper with status {status} has tag cells")
+            elif status == STATUS_ANALYZED and len(verdicts) < len(tags):
+                empty = ", ".join(t for t in tags if t not in verdicts)
+                errors.append(f"line {lineno}: an analyzed paper has an empty cell for {empty}")
             errors += [
                 f"line {lineno}: {t} cell {c!r} is not one of {', '.join(VERDICTS)}"
                 for t, c in verdicts.items()

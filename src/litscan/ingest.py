@@ -223,18 +223,28 @@ def table_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
+def check_header(path: str | Path, header: Sequence[str], what: str) -> None:
+    """Raise ValueError when `header` names a column twice: a reader would
+    keep only one of its cells."""
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise ValueError(f"{path}: {what} header repeats columns: {repeated}")
+
+
 def read_table(
     path: str | Path, columns: Sequence[str], what: str, parse_row: Callable[[dict], object]
 ) -> list:
-    """Read a CSV file whose header has `columns` and return parse_row(row)
-    for each row; `what` names the file when a column is missing. A row holds
-    the cells csv gives, None for a short row's missing ones. Each ValueError
-    parse_row raises, and each row with extra cells, becomes `line N: ...`
-    (N the row's last physical line); one ValueError lists them all."""
+    """Read a CSV file whose header has `columns`, and no column twice, and
+    return parse_row(row) for each row; `what` names the file in header
+    errors. A row holds the cells csv gives, None for a short row's missing
+    ones. Each ValueError parse_row raises, and each row with extra cells,
+    becomes `line N: ...` (N the row's last physical line); one ValueError
+    lists them all."""
     parsed, errors = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
+        check_header(path, header, what)
         missing = set(columns) - set(header)
         if missing:
             raise ValueError(f"{path}: {what} is missing columns: {sorted(missing)}")

@@ -16,6 +16,7 @@ from conftest import ANALYZER_DIR, REGRESSION_DIR, filler, make_doc
 from litscan import corpus, ingest, matching
 from litscan.cli import main
 from litscan.corpus import (
+    RESULT_COLUMNS,
     Bundle,
     CorpusResult,
     RunConfig,
@@ -23,13 +24,14 @@ from litscan.corpus import (
     aggregates_csv,
     classify_paper,
     emit_csv,
+    read_results_csv,
     run_corpus,
 )
 from litscan.dsl import load_bundle
-from litscan.ingest import SourceMeta, gate_short, load_manifest, normalize, prefix_region
+from litscan.ingest import STATUS_ANALYZED, STATUSES, SourceMeta, gate_short, load_manifest, normalize, prefix_region
 from litscan.matching import run_analyzer, scan_pieces
 from litscan.report import _raw_span, render_report
-from litscan.scoring import aggregate_tags, decide_exclusion, resolve_analyzer
+from litscan.scoring import VERDICTS, aggregate_tags, decide_exclusion, resolve_analyzer
 from litscan.synthetic import FILLER_WORDS, TRAP_CHUNK, strip_markers
 from test_ingest import RAW_ALPHABET
 
@@ -203,6 +205,32 @@ def test_emit_csv_shapes_and_empty_cells():
 def test_emit_csv_rfc4180_quoting():
     out = emit_csv([_result("p1", 'Jour,nal "X"', 2001, verdicts={})], [])
     assert '"Jour,nal ""X"""' in out
+
+
+# cell text, often holding the characters CSV must quote; NUL is left out, as
+# the csv module of Python 3.10 cannot read it back
+_CELL = st.text(st.sampled_from(',"\r\n ') | st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+                max_size=8)
+
+
+@st.composite
+def _results_and_tags(draw):
+    tags = draw(st.lists(_CELL.filter(lambda t: t and t not in RESULT_COLUMNS), unique=True, max_size=4))
+    results = []
+    for _ in range(draw(st.integers(0, 6))):
+        status = draw(st.sampled_from(STATUSES))
+        verdicts = {t: draw(st.sampled_from(VERDICTS)) for t in tags} if status == STATUS_ANALYZED else {}
+        meta = SourceMeta(draw(_CELL), draw(_CELL), draw(st.integers(1900, 2100)), "")
+        results.append(CorpusResult(meta, status, verdicts, draw(st.integers(0, 10**6))))
+    return results, tags
+
+
+@given(_results_and_tags())
+def test_read_results_csv_reads_back_what_emit_csv_writes(tmp_path_factory, results_and_tags):
+    results, tags = results_and_tags
+    path = tmp_path_factory.getbasetemp() / "results.csv"
+    path.write_text(emit_csv(results, tags), encoding="utf-8", newline="")
+    assert read_results_csv(path) == (results, tags)
 
 
 def test_aggregate_arithmetic():

@@ -296,6 +296,13 @@ def test_load_manifest_rejects_bad_rows(tmp_path):
     assert "line 8: 5 cells, the header has 4" in message
 
 
+def test_load_manifest_rejects_a_repeated_column(tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("paper_id,journal,year,path,path\np1,EMSE,2015,a.txt,b.txt\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"manifest header repeats columns: \['path'\]"):
+        load_manifest(manifest)
+
+
 def test_load_manifest_numbers_file_lines_after_a_multiline_cell(tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(

@@ -278,6 +278,46 @@ def test_results_readers_reject_cells_classify_never_writes(tmp_path, capsys, co
     assert "line 2" not in err and "line 6" not in err
 
 
+@pytest.mark.parametrize("command", ["aggregate", "validate", "sample"])
+def test_results_readers_reject_a_repeated_tag_column(tmp_path, capsys, command):
+    results, argv = _results_reader(tmp_path, command)
+    results.write_text("paper_id,journal,year,words,status,t,t\np1,J,2010,5000,analyzed,positive,negative\n",
+                       encoding="utf-8")
+    assert main(argv) == 1
+    assert f"error: {results}: results header repeats columns: ['t']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["aggregate", "validate", "sample"])
+def test_results_readers_reject_an_empty_cell_of_an_analyzed_paper(tmp_path, capsys, command):
+    results, argv = _results_reader(tmp_path, command)
+    results.write_text(
+        "paper_id,journal,year,words,status,t,u\n"
+        "p1,J,2010,5000,analyzed,positive,none\n"
+        "p2,J,2010,5000,analyzed,,\n"
+        "p3,J,2010,5000,analyzed,none,\n",
+        encoding="utf-8",
+    )
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "line 3: an analyzed paper has an empty cell for t, u" in err
+    assert "line 4: an analyzed paper has an empty cell for u" in err
+    assert "line 2" not in err
+
+
+def test_sample_and_validate_reject_a_tag_without_a_column(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("paper_id,journal,year,words,status,t\np1,J,2010,5000,analyzed,positive\n",
+                       encoding="utf-8")
+    assert main(["sample", "--results", str(results), "--tag", "no_such_tag", "-n", "3", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "results has no column for tags ['no_such_tag']" in err
+    truth = tmp_path / "truth.csv"
+    truth.write_text("paper_id,tag,label\np1,t,present\np1,no_such_tag,present\n", encoding="utf-8")
+    assert main(["validate", "--results", str(results), "--truth", str(truth)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "results has no column for tags ['no_such_tag']" in err
+
+
 def test_regress_command_takes_only_the_matching_flags(capsys):
     argv = ["regress", "--fixtures", str(REGRESSION_DIR), "--analyzers", str(ANALYZER_DIR)]
     assert main(argv + ["--max-edits", "1"]) == 0
