@@ -102,7 +102,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     # errors.csv exists only when this run had failures, whatever an earlier run left in --out
     (out / "errors.csv").unlink(missing_ok=True)
     if errors:
-        (out / "errors.csv").write_text(table_text(["paper_id", "error"], errors), encoding="utf-8", newline="")
+        (out / "errors.csv").write_text(
+            table_text(["paper_id", "error"], errors), encoding="utf-8", newline=""
+        )
         log.warning("%d of %d papers failed; see errors.csv", len(errors), len(metas))
         return 2
     log.info("classified %d papers into %s", len(results), out)

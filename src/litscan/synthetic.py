@@ -252,12 +252,11 @@ def generate_corpus(
     manifest_path.write_text(table_text(MANIFEST_COLUMNS, manifest_rows), encoding="utf-8", newline="")
     truth_path = out_dir / "truth.csv"
     truth_path.write_text(table_text(TRUTH_COLUMNS, truth_rows), encoding="utf-8", newline="")
-    plantings = (
-        [p.paper_id, ";".join(p.exact), ";".join(p.typo), ";".join(p.negated), p.traps] for p in plans
+    plantings = table_text(
+        ["paper_id", "exact", "typo", "negated", "traps"],
+        ([p.paper_id, ";".join(p.exact), ";".join(p.typo), ";".join(p.negated), p.traps] for p in plans),
     )
-    (out_dir / "plantings.csv").write_text(
-        table_text(["paper_id", "exact", "typo", "negated", "traps"], plantings), encoding="utf-8", newline=""
-    )
+    (out_dir / "plantings.csv").write_text(plantings, encoding="utf-8", newline="")
 
     return SyntheticCorpus(
         out_dir=out_dir,

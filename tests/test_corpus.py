@@ -28,7 +28,15 @@ from litscan.corpus import (
     run_corpus,
 )
 from litscan.dsl import load_bundle
-from litscan.ingest import STATUS_ANALYZED, STATUSES, SourceMeta, gate_short, load_manifest, normalize, prefix_region
+from litscan.ingest import (
+    STATUS_ANALYZED,
+    STATUSES,
+    SourceMeta,
+    gate_short,
+    load_manifest,
+    normalize,
+    prefix_region,
+)
 from litscan.matching import run_analyzer, scan_pieces
 from litscan.report import _raw_span, render_report
 from litscan.scoring import VERDICTS, aggregate_tags, decide_exclusion, resolve_analyzer
@@ -209,8 +217,10 @@ def test_emit_csv_rfc4180_quoting():
 
 # cell text, often holding the characters CSV must quote; NUL is left out, as
 # the csv module of Python 3.10 cannot read it back
-_CELL = st.text(st.sampled_from(',"\r\n ') | st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
-                max_size=8)
+_CELL = st.text(
+    st.sampled_from(',"\r\n ') | st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+    max_size=8,
+)
 
 
 @st.composite
