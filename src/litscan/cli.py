@@ -40,7 +40,6 @@ from .matching import (
     DEFAULT_SUPPORT_WINDOW,
     MatchConfig,
 )
-from .validation import confusion, confusion_csv, load_truth, regression_check, stratified_sample
 
 log = logging.getLogger("litscan")
 
@@ -152,6 +151,8 @@ def _read_results(path: str, tags: set[str]) -> list[CorpusResult]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import confusion, confusion_csv, load_truth  # only here: classify never validates
+
     truth = load_truth(args.truth)
     results = _read_results(args.results, {t.tag for t in truth})
     print(confusion_csv(confusion(results, truth)), end="")
@@ -159,12 +160,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
+    from .validation import regression_check
+
     ok, lines = regression_check(args.fixtures, _bundle(args))
     print("\n".join(lines))
     return 0 if ok else 1
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .validation import stratified_sample
+
     results = _read_results(args.results, {args.tag})
     for pid in stratified_sample(results, args.tag, args.n, args.seed):
         print(pid)

@@ -7,7 +7,6 @@ isolated so a batch run never aborts on one bad file.
 """
 
 import contextlib
-import csv
 import functools
 import logging
 import math
@@ -23,9 +22,9 @@ from .ingest import (
     STATUSES,
     DocumentText,
     SourceMeta,
-    check_header,
     gate_short,
     load_document,
+    read_table,
     table_text,
 )
 from .matching import MatchConfig, PieceScanner, group_scanner, run_analyzer, scan_pieces
@@ -216,47 +215,39 @@ def emit_csv(results: list[CorpusResult], tags: Sequence[str]) -> str:
 
 def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
     """Rebuild enough of the per-paper results from a results.csv to
-    aggregate, validate, and sample; returns (results, tags). Raises
-    ValueError listing every problem found."""
-    fixed = len(RESULT_COLUMNS)
-    results: list[CorpusResult] = []
-    errors: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header[:fixed]) != RESULT_COLUMNS:
-            raise ValueError(f"{path}: unexpected results header {header!r}")
-        check_header(path, header, "results")
-        tags = header[fixed:]
-        for row in reader:
-            lineno = reader.line_num  # a quoted cell may hold a line break
-            if len(row) != len(header):
-                errors.append(f"line {lineno}: {len(row)} cells, the header has {len(header)}")
-                continue
-            pid, journal, year, words, status = row[:fixed]
-            try:
-                meta = SourceMeta(paper_id=pid, journal=journal, year=int(year), path="")
-                word_count = int(words)
-            except ValueError:
-                errors.append(f"line {lineno}: year {year!r} or words {words!r} is not an integer")
-                continue
-            verdicts = {t: c for t, c in zip(tags, row[fixed:]) if c}
-            if status not in STATUSES:
-                errors.append(f"line {lineno}: status {status!r} is not one of {', '.join(STATUSES)}")
-            elif verdicts and status != STATUS_ANALYZED:
-                errors.append(f"line {lineno}: a paper with status {status} has tag cells")
-            elif status == STATUS_ANALYZED and len(verdicts) < len(tags):
-                empty = ", ".join(t for t in tags if t not in verdicts)
-                errors.append(f"line {lineno}: an analyzed paper has an empty cell for {empty}")
-            errors += [
-                f"line {lineno}: {t} cell {c!r} is not one of {', '.join(VERDICTS)}"
-                for t, c in verdicts.items()
-                if c not in VERDICTS
-            ]
-            results.append(CorpusResult(meta, status, verdicts, word_count))
-    if errors:
-        raise ValueError(f"{path}: " + "; ".join(errors))
-    return results, tags
+    aggregate, validate, and sample; returns (results, tags), the tags being
+    every column not in RESULT_COLUMNS, in header order. Raises ValueError
+    listing every problem found."""
+
+    def parse_row(row: dict) -> CorpusResult:
+        given = sum(c is not None for c in row.values())
+        if given < len(row):
+            raise ValueError(f"{given} cells, the header has {len(row)}")
+        year, words, status = row["year"], row["words"], row["status"]
+        try:
+            meta = SourceMeta(paper_id=row["paper_id"], journal=row["journal"], year=int(year), path="")
+            word_count = int(words)
+        except ValueError:
+            raise ValueError(f"year {year!r} or words {words!r} is not an integer") from None
+        cells = {t: c for t, c in row.items() if t not in RESULT_COLUMNS}
+        verdicts = {t: c for t, c in cells.items() if c}
+        problems = []
+        if status not in STATUSES:
+            problems.append(f"status {status!r} is not one of {', '.join(STATUSES)}")
+        elif verdicts and status != STATUS_ANALYZED:
+            problems.append(f"a paper with status {status} has tag cells")
+        elif status == STATUS_ANALYZED and len(verdicts) < len(cells):
+            empty = ", ".join(t for t in cells if t not in verdicts)
+            problems.append(f"an analyzed paper has an empty cell for {empty}")
+        problems += [
+            f"{t} cell {c!r} is not one of {', '.join(VERDICTS)}" for t, c in verdicts.items() if c not in VERDICTS
+        ]
+        if problems:
+            raise ValueError("; ".join(problems))
+        return CorpusResult(meta, status, verdicts, word_count)
+
+    header, results = read_table(path, RESULT_COLUMNS, "results", parse_row)
+    return results, [c for c in header if c not in RESULT_COLUMNS]
 
 
 def aggregate(results: list[CorpusResult], tags: Sequence[str]) -> list[AggregateRow]:

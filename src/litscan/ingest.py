@@ -15,8 +15,6 @@ import io
 import logging
 import math
 import re
-import shlex
-import subprocess
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
@@ -223,28 +221,22 @@ def table_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def check_header(path: str | Path, header: Sequence[str], what: str) -> None:
-    """Raise ValueError when `header` names a column twice: a reader would
-    keep only one of its cells."""
-    repeated = sorted({c for c in header if header.count(c) > 1})
-    if repeated:
-        raise ValueError(f"{path}: {what} header repeats columns: {repeated}")
-
-
 def read_table(
     path: str | Path, columns: Sequence[str], what: str, parse_row: Callable[[dict], object]
-) -> list:
+) -> tuple[list[str], list]:
     """Read a CSV file whose header has `columns`, and no column twice, and
-    return parse_row(row) for each row; `what` names the file in header
-    errors. A row holds the cells csv gives, None for a short row's missing
-    ones. Each ValueError parse_row raises, and each row with extra cells,
-    becomes `line N: ...` (N the row's last physical line); one ValueError
-    lists them all."""
+    return the header and parse_row(row) for each row; `what` names the file
+    in header errors. A row holds the cells csv gives, None for a short row's
+    missing ones. Each ValueError parse_row raises, and each row with extra
+    cells, becomes `line N: ...` (N the row's last physical line); one
+    ValueError lists them all."""
     parsed, errors = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        check_header(path, header, what)
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:  # a dict row would keep only one of their cells
+            raise ValueError(f"{path}: {what} header repeats columns: {repeated}")
         missing = set(columns) - set(header)
         if missing:
             raise ValueError(f"{path}: {what} is missing columns: {sorted(missing)}")
@@ -260,7 +252,7 @@ def read_table(
                 errors.append(f"line {lineno}: {exc}")
     if errors:
         raise ValueError(f"{path}: " + "; ".join(errors))
-    return parsed
+    return header, parsed
 
 
 MANIFEST_COLUMNS = ("paper_id", "journal", "year", "path")
@@ -300,7 +292,7 @@ def load_manifest(path: str | Path) -> list[SourceMeta]:
             p = path.parent / p
         return SourceMeta(paper_id=pid, journal=journal, year=year, path=str(p))
 
-    return read_table(path, MANIFEST_COLUMNS, "manifest", parse)
+    return read_table(path, MANIFEST_COLUMNS, "manifest", parse)[1]
 
 
 def read_raw_text(meta: SourceMeta, converter: str | None = None) -> str:
@@ -311,6 +303,9 @@ def read_raw_text(meta: SourceMeta, converter: str | None = None) -> str:
     exit status and the last line of the converter's stderr."""
     if converter is None:
         return Path(meta.path).read_text(encoding="utf-8", errors="replace")
+    import shlex  # only here: most runs convert nothing, and these imports cost startup
+    import subprocess
+
     argv = [tok.replace("{input}", meta.path) for tok in shlex.split(converter)]
     proc = subprocess.run(argv, capture_output=True, timeout=CONVERTER_TIMEOUT)
     if proc.returncode:

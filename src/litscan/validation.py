@@ -58,7 +58,7 @@ def load_truth(path: str | Path) -> list[GroundTruth]:
         seen.add((pid, tag))
         return GroundTruth(pid, tag, label)
 
-    return read_table(path, TRUTH_COLUMNS, "truth file", parse)
+    return read_table(path, TRUTH_COLUMNS, "truth file", parse)[1]
 
 
 def confusion(results: list[CorpusResult], truth: list[GroundTruth]) -> list[ConfusionRow]:
@@ -110,12 +110,16 @@ def confusion_csv(rows: list[ConfusionRow]) -> str:
 def _load_expected(path: Path) -> dict[str, str]:
     expected: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
             if len(row) != 2:
                 raise ValueError(f"{path}: expected `key,value` rows, got {row!r}")
-            expected[row[0].strip()] = row[1].strip()
+            key = row[0].strip()
+            if key in expected:
+                raise ValueError(f"{path}: line {reader.line_num}: key {key!r} is listed twice")
+            expected[key] = row[1].strip()
     return expected
 
 

@@ -1,8 +1,10 @@
 import concurrent.futures
 import csv
 import io
+import os
 import re
 import shutil
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -414,6 +416,14 @@ def test_cli_converter_template(tmp_path):
     assert rc == 0
     rows = list(csv.reader((out / "results.csv").open()))
     assert rows[1][4] == "analyzed"
+
+
+def test_importing_the_cli_loads_neither_subprocess_nor_validation():
+    # a classify run converts nothing and validates nothing, and each import costs its startup
+    code = "import sys, litscan.cli; print(sorted({'subprocess', 'litscan.validation'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(corpus.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_partial_failure_exit_code(tmp_path):

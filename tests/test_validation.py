@@ -3,10 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ANALYZER_DIR, REGRESSION_DIR, filler
+from test_ingest import NAME
 from litscan.cli import main
 from litscan.corpus import CorpusResult
-from litscan.ingest import SourceMeta
+from litscan.ingest import SourceMeta, table_text
 from litscan.validation import (
+    TRUTH_COLUMNS,
     ConfusionRow,
     GroundTruth,
     confusion,
@@ -130,6 +132,19 @@ def test_load_truth_reports_missing_columns(tmp_path):
         load_truth(path)
 
 
+@given(
+    st.lists(
+        st.builds(GroundTruth, NAME, NAME, st.sampled_from(["present", "absent"])),
+        unique_by=lambda t: (t.paper_id, t.tag),
+        max_size=6,
+    )
+)
+def test_load_truth_reads_back_what_table_text_writes(tmp_path_factory, truth):
+    path = tmp_path_factory.getbasetemp() / "truth.csv"
+    path.write_text(table_text(TRUTH_COLUMNS, truth), encoding="utf-8", newline="")
+    assert load_truth(path) == truth
+
+
 def test_validate_command_reports_a_bad_truth_file(tmp_path, capsys):
     results = tmp_path / "results.csv"
     results.write_text("paper_id,journal,year,words,status,t\np1,J,2010,5000,analyzed,positive\n",
@@ -175,6 +190,15 @@ def test_regression_missing_expectation_file(compiled, tmp_path):
     (tmp_path / "orphan.txt").write_text("whatever", encoding="utf-8")
     with pytest.raises(FileNotFoundError, match="orphan.expected.csv"):
         regression_check(tmp_path, compiled)
+
+
+def test_regression_rejects_a_key_listed_twice(compiled, tmp_path):
+    (tmp_path / "twice.txt").write_text("We used a Student's t-test.", encoding="utf-8")
+    expected = tmp_path / "twice.expected.csv"
+    expected.write_text("# verdicts\nparametric_test,none\nparametric_test,positive\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        regression_check(tmp_path, compiled)
+    assert str(err.value) == f"{expected}: line 3: key 'parametric_test' is listed twice"
 
 
 def _stratified_results():
@@ -251,7 +275,7 @@ def test_results_readers_report_every_bad_line(tmp_path, capsys, command):
     assert "line 2" not in err and "line 3" not in err
     results.write_text("", encoding="utf-8")
     assert main(argv) == 1
-    assert "unexpected results header []" in capsys.readouterr().err
+    assert "results is missing columns: ['journal', 'paper_id', 'status', 'words', 'year']" in capsys.readouterr().err
     results.write_text("paper_id,journal,year,words,status,t\np1,J,2010,5000,analyzed,positive\n",
                        encoding="utf-8")
     assert main(argv) == 0
