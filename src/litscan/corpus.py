@@ -218,6 +218,7 @@ def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
     aggregate, validate, and sample; returns (results, tags), the tags being
     every column not in RESULT_COLUMNS, in header order. Raises ValueError
     listing every problem found."""
+    seen: set[str] = set()
 
     def parse_row(row: dict) -> CorpusResult:
         given = sum(c is not None for c in row.values())
@@ -231,7 +232,14 @@ def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
             raise ValueError(f"year {year!r} or words {words!r} is not an integer") from None
         cells = {t: c for t, c in row.items() if t not in RESULT_COLUMNS}
         verdicts = {t: c for t, c in cells.items() if c}
-        problems = []
+        pid, problems = meta.paper_id, []
+        if not pid.strip():
+            problems.append("empty paper_id")
+        elif pid in seen:
+            problems.append(f"duplicate paper_id {pid!r}")
+        seen.add(pid)
+        if not meta.journal.strip():
+            problems.append("empty journal")
         if status not in STATUSES:
             problems.append(f"status {status!r} is not one of {', '.join(STATUSES)}")
         elif verdicts and status != STATUS_ANALYZED:

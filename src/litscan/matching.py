@@ -37,11 +37,10 @@ character or the term after it, and lookarounds at the piece's end look for
 both. A hit that fails is not recorded, and a term with no recorded hit
 cannot match: the scan names the terms it hit, and only those are searched.
 
-A candidate span is first tested the same way, per span length, by string
-comparisons that also run in C, and each candidate that passes is verified
-once by a first-mismatch test: past the common prefix, what is left must be
-equal outright (an exact match) or after one substitution, one insertion or
-deletion, or one adjacent swap.
+That scan test is the only split test. Each span a recorded hit proposes is
+checked once by a first-mismatch test: past the common prefix, what is left
+must be equal outright (an exact match) or after one substitution, one
+insertion or deletion, or one adjacent swap.
 """
 
 import re
@@ -91,7 +90,6 @@ class MatchConfig:
 class EvidenceMatch:
     """A located primary match with its supporting matches and skip status."""
 
-    analyzer: str
     example_index: int
     polarity: str
     matched_term: str
@@ -103,31 +101,9 @@ class EvidenceMatch:
     skipped_by: str | None = None
 
 
-def osa_distance(a: str, b: str) -> int:
-    """Restricted Damerau-Levenshtein distance (substitution, insertion,
-    deletion, adjacent transposition; no substring edited twice)."""
-    la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev2: list[int] = []
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        row = [i] + [0] * lb
-        ai = a[i - 1]
-        for j in range(1, lb + 1):
-            cost = 0 if ai == b[j - 1] else 1
-            best = min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + cost)
-            if i > 1 and j > 1 and ai == b[j - 2] and a[i - 2] == b[j - 1]:
-                best = min(best, prev2[j - 2] + 1)
-            row[j] = best
-        prev2, prev = prev, row
-    return prev[lb]
-
-
 def _one_edit_distance(a: str, b: str) -> int:
-    """min(osa_distance(a, b), 2), by first-mismatch analysis.
+    """The restricted Damerau-Levenshtein distance of a and b, capped at 2,
+    by first-mismatch analysis.
 
     An alignment of cost 1 can put its one edit at the first mismatch, so
     past the common prefix the rest must be equal after one substitution,
@@ -206,8 +182,9 @@ def _piece_tests(term: str, layout: Layout) -> list[tuple[str, str]]:
     """(piece, test) for each piece of the term, where the test is a regex
     of lookarounds, matched where the piece ends, that a hit of the piece
     passes when a span of the term can begin or end there; "" when every hit
-    passes. It is the split test of `find_term`. A term whose start and end
-    pieces are equal gives that piece both tests."""
+    passes. It is the only split test: `find_term` checks every span a
+    recorded hit proposes in full. A term whose start and end pieces are
+    equal gives that piece both tests."""
     a, b, c = layout
     length = len(term)
     if a == b:  # the suffix of a term with no edit budget: the whole term ends here
@@ -215,16 +192,16 @@ def _piece_tests(term: str, layout: Layout) -> list[tuple[str, str]]:
     if b == c:  # a 2-character term
         return [(piece, "") for piece in _pieces(term, layout)]
     # A start-piece hit ends at the span's start + b, and the edit lies in
-    # term[b:], cut with a gap at find_term's m: term[b:m] follows the piece,
-    # or term[m + 1:] ends the span at one of its three lengths.
+    # term[b:], cut with a gap at m: term[b:m] follows the piece, or
+    # term[m + 1:] ends the span at one of its three lengths.
     m = (b + length) // 2
     start = (f"(?<={re.escape(term[:a])}.{{{b - a}}})" if a else "") + (
         f"(?={re.escape(term[b:m])}|.{{{m - b},{m - b + 2}}}{re.escape(term[m + 1 :])})"
     )
     # An end-piece hit ends where the span does, and the edit lies in
-    # term[:c], cut with a gap at find_term's k: term[k + 1:c] precedes the
-    # piece, or term[:k] begins the span at one of its three lengths (one
-    # fixed-width lookbehind each).
+    # term[:c], cut with a gap at k: term[k + 1:c] precedes the piece, or
+    # term[:k] begins the span at one of its three lengths (one fixed-width
+    # lookbehind each).
     k = c // 2
     end = ""
     if k + 1 < c:
@@ -347,23 +324,24 @@ def find_term(
     piece_starts: PieceStarts | None = None,
 ) -> list[Region]:
     """All spans inside `region` whose substring is within edit distance E of
-    `term`, where E = 1 when the term is fuzzy-eligible and max_edits allows
-    it, else 0.
+    `term`, where E = 1 when the term's layout has a start piece, else 0.
 
     `piece_starts` holds the starts of the term's pieces in a range covering
     `region`, as `scan_pieces` gives them for a group of analyzers, with the
     layout the term's pieces were cut by; a term it has no layout for raises
     KeyError. Those are only the starts whose hits passed the scan's tests,
-    which every start a span can be built from does. Without it the term's
-    own pieces are chosen and scanned for, by the same filtered scan.
+    which every start a span can be built from does; the layout decides E.
+    Without it the term's own scanner is built, fuzzy when the term is at
+    least `fuzzy_min_len` characters long and max_edits allows it, and
+    scanned with; `max_edits` and `fuzzy_min_len` serve nothing else.
 
     With E = 0 a hit of the suffix term[c:] at q proposes the span starting
     at q - c. With E = 1 a hit of the start piece term[a:b] at q proposes
     the spans starting at q - a, a hit of the end piece term[c:] the spans
     ending where it ends, each at the term's length and one either side, and
     for a 2-character term a hit of the swapped term the span it covers.
-    Each proposed span inside `region` that passes a split test of the rest
-    of the term is checked once.
+    The scan's tests are the only filter: each proposed span inside
+    `region` is checked once in full.
 
     One occurrence is reported once: spans sharing a start position keep
     the closest (then longest) span, and a span overlapped by a strictly
@@ -374,38 +352,20 @@ def find_term(
     if not term:
         raise ValueError("term must be non-empty")
     lo, hi = max(region.start, 0), min(region.end, len(text))
-    fuzzy = _fuzzy(term, max_edits, fuzzy_min_len)
     if piece_starts is None:
-        piece_starts = PieceScanner([(term, fuzzy)]).scan(text, lo, hi)
+        piece_starts = PieceScanner([(term, _fuzzy(term, max_edits, fuzzy_min_len))]).scan(text, lo, hi)
     a, b, c = piece_starts.layouts[term]
     length = len(term)
     ends = piece_starts.get(term[c:], ())
-    if not fuzzy:  # the suffix ends where the term does
+    if a == b:  # no edit budget: the suffix ends where the term does
         starts = (q - c for q in ends)
         return sorted(
             Region(s, s + length) for s in starts if lo <= s <= hi - length and text.startswith(term, s)
         )
 
     lengths = (length - 1, length, length + 1)
-    # A span that a start-piece hit stands for begins with term[:b] whole and
-    # has its one edit in term[b:]: cut there with a gap at m, so the span
-    # also begins with term[:m] or ends with term[m + 1:]. A span that an
-    # end-piece hit stands for has its edit in term[:c]: cut with a gap at k,
-    # so it begins with term[:k] or term[k + 1:c] precedes the piece. These
-    # tests run in C and spare the full check most candidates.
-    m, k = (b + length) // 2, c // 2
-    head, longer, rest = term[:b], term[:m], term[m + 1 :]
-    candidates = [
-        (s, n)
-        for s in (q - a for q in piece_starts.get(term[a:b], ()))
-        if lo <= s and text.startswith(head, s)
-        for n in lengths
-        if text.startswith(longer, s) or text.endswith(rest, 0, s + n)
-    ]
-    lead, before = term[:k], term[k + 1 : c]
-    for q in ends:
-        e, whole = q + length - c, text.endswith(before, 0, q)
-        candidates += [(e - n, n) for n in lengths if lo <= e - n and (whole or text.startswith(lead, e - n))]
+    candidates = [(q - a, n) for q in piece_starts.get(term[a:b], ()) for n in lengths]
+    candidates += [(q + length - c - n, n) for q in ends for n in lengths]
     if b == c:
         candidates += [(q, length) for q in piece_starts.get(term[::-1], ())]
     best: dict[int, tuple[int, int]] = {}  # start -> (distance, -length): closest, then longest
@@ -563,7 +523,6 @@ def run_analyzer(
                     continue  # unconfirmed negative evidence is discarded
                 matches.append(
                     EvidenceMatch(
-                        analyzer=spec.name,
                         example_index=idx,
                         polarity=polarity,
                         matched_term=term,

@@ -23,7 +23,7 @@ from pathlib import Path
 from .corpus import Bundle
 from .dsl import AnalyzerSpec
 from .ingest import MANIFEST_COLUMNS, SourceMeta, make_document, normalize, table_text, word_count_of
-from .matching import MatchConfig, osa_distance, run_analyzer, scan_pieces
+from .matching import MatchConfig, run_analyzer, scan_pieces
 from .scoring import VERDICT_POSITIVE, resolve_analyzer
 from .validation import LABEL_ABSENT, LABEL_PRESENT, TRUTH_COLUMNS
 
@@ -112,7 +112,6 @@ def inject_typo(term: str, rng: random.Random) -> str | None:
             and "  " not in variant
             and not variant.startswith(" ")
             and not variant.endswith(" ")
-            and osa_distance(term, variant) == 1
         ):
             return variant
     return None

@@ -229,10 +229,11 @@ _CELL = st.text(
 def _results_and_tags(draw):
     tags = draw(st.lists(_CELL.filter(lambda t: t and t not in RESULT_COLUMNS), unique=True, max_size=4))
     results = []
-    for _ in range(draw(st.integers(0, 6))):
+    # classify writes each paper once, with a paper_id and a journal that are not blank
+    for pid in draw(st.lists(_CELL.filter(str.strip), unique=True, max_size=6)):
         status = draw(st.sampled_from(STATUSES))
         verdicts = {t: draw(st.sampled_from(VERDICTS)) for t in tags} if status == STATUS_ANALYZED else {}
-        meta = SourceMeta(draw(_CELL), draw(_CELL), draw(st.integers(1900, 2100)), "")
+        meta = SourceMeta(pid, draw(_CELL.filter(str.strip)), draw(st.integers(1900, 2100)), "")
         results.append(CorpusResult(meta, status, verdicts, draw(st.integers(0, 10**6))))
     return results, tags
 

@@ -101,7 +101,7 @@ def test_a_directly_built_skip_matcher_equals_the_parsed_one():
     built = SkipMatcher(r"[a-zA-Z]{1}t(\s+|-)test", True)
     assert built == parse_skip_matcher(token) and built.token() == token
     text = "several unit tests were written"
-    match = EvidenceMatch("a", 0, "positive", "t test", Region(11, 17), (), 0, 1)
+    match = EvidenceMatch(0, "positive", "t test", Region(11, 17), (), 0, 1)
     (out,) = apply_skips([match], (built,), text)
     assert out.skipped and apply_skips([match], (parse_skip_matcher(token),), text) == [out]
 

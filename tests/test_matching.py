@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import filler, make_doc
+from conftest import filler, make_doc, osa_distance
 from litscan.dsl import parse_analyzer, parse_skip_matcher
 from litscan.ingest import Region
 from litscan.matching import (
@@ -19,7 +19,6 @@ from litscan.matching import (
     apply_skips,
     find_supports,
     find_term,
-    osa_distance,
     run_analyzer,
     group_scanner,
     scan_pieces,
@@ -245,6 +244,26 @@ def test_shared_scan_equals_single_term_search_and_oracle(text, terms, a, b, max
         alone = find_term(text, region, term, max_edits, fuzzy_min_len)
         assert find_term(text, region, term, max_edits, fuzzy_min_len, shared) == alone
         assert alone == oracle_find(text, region, term, max_edits, fuzzy_min_len)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(norm_term, min_size=1, max_size=5), st.sampled_from([0, 1]), st.sampled_from([2, 5, 8]), st.data())
+def test_find_term_is_sound_on_every_exact_piece_start(terms, max_edits, fuzzy_min_len, data):
+    # text made of the terms' tails, where pieces occur with no span of their
+    # term around them; no scan test is applied, so find_term alone must
+    # keep only the true spans
+    tails = sorted({term[i:] for term in terms for i in range(len(term))} | set("ab "))
+    text = "".join(data.draw(st.lists(st.sampled_from(tails), max_size=20)))
+    region = Region(0, len(text))
+    layouts = PieceScanner(_terms_of(terms, max_edits, fuzzy_min_len)).layouts
+    every = PieceStarts(layouts)
+    for term, layout in layouts.items():
+        for piece in _pieces(term, layout):
+            every[piece] = exact_starts(text, 0, len(text), piece)
+    every.hit = set(layouts)
+    for term in terms:
+        got = find_term(text, region, term, max_edits, fuzzy_min_len, every)
+        assert got == oracle_find(text, region, term, max_edits, fuzzy_min_len), term
 
 
 def test_shared_scan_escapes_regex_metacharacters():
@@ -499,7 +518,6 @@ SKIP = parse_skip_matcher(r'#RegexpMatcher(r"[a-zA-Z]{1}t(\s+|-)test"i)#')
 def _match_at(text: str, term: str) -> EvidenceMatch:
     start = text.find(term)
     return EvidenceMatch(
-        analyzer="a",
         example_index=0,
         polarity="positive",
         matched_term=term,

@@ -23,7 +23,6 @@ SPEC = parse_analyzer(
 
 def _match(polarity="positive", start=0, score=1, skipped=False, supports=0, example=0):
     return EvidenceMatch(
-        analyzer="demo",
         example_index=example,
         polarity=polarity,
         matched_term="thing",

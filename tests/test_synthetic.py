@@ -1,9 +1,9 @@
 import random
 from pathlib import Path
 
-from conftest import make_doc
+from conftest import make_doc, osa_distance
 from litscan.ingest import normalize
-from litscan.matching import osa_distance, run_analyzer
+from litscan.matching import run_analyzer
 from litscan.scoring import VERDICT_NEGATIVE, VERDICT_NONE, VERDICT_POSITIVE, resolve_analyzer
 from litscan.synthetic import (
     FILLER_WORDS,

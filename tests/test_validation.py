@@ -303,6 +303,25 @@ def test_results_readers_reject_cells_classify_never_writes(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("command", ["aggregate", "validate", "sample"])
+def test_results_readers_reject_empty_and_repeated_paper_ids(tmp_path, capsys, command):
+    results, argv = _results_reader(tmp_path, command)
+    results.write_text(
+        "paper_id,journal,year,words,status,t\n"
+        "p1,J,2010,5000,analyzed,positive\n"
+        "p1,J,2010,5000,analyzed,none\n"
+        ",,2010,1,skipped_short,\n"
+        "p2,,2010,5000,analyzed,none\n",
+        encoding="utf-8",
+    )
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "line 3: duplicate paper_id 'p1'" in err
+    assert "line 4: empty paper_id; empty journal" in err
+    assert "line 5: empty journal" in err
+    assert "line 2" not in err
+
+
+@pytest.mark.parametrize("command", ["aggregate", "validate", "sample"])
 def test_results_readers_reject_a_repeated_tag_column(tmp_path, capsys, command):
     results, argv = _results_reader(tmp_path, command)
     results.write_text("paper_id,journal,year,words,status,t,t\np1,J,2010,5000,analyzed,positive,negative\n",
