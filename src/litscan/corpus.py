@@ -224,22 +224,22 @@ def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
         given = sum(c is not None for c in row.values())
         if given < len(row):
             raise ValueError(f"{given} cells, the header has {len(row)}")
-        year, words, status = row["year"], row["words"], row["status"]
-        try:
-            meta = SourceMeta(paper_id=row["paper_id"], journal=row["journal"], year=int(year), path="")
-            word_count = int(words)
-        except ValueError:
-            raise ValueError(f"year {year!r} or words {words!r} is not an integer") from None
+        pid, journal, status = row["paper_id"], row["journal"], row["status"]
         cells = {t: c for t, c in row.items() if t not in RESULT_COLUMNS}
         verdicts = {t: c for t, c in cells.items() if c}
-        pid, problems = meta.paper_id, []
+        problems, numbers = [], {}
         if not pid.strip():
             problems.append("empty paper_id")
         elif pid in seen:
             problems.append(f"duplicate paper_id {pid!r}")
         seen.add(pid)
-        if not meta.journal.strip():
+        if not journal.strip():
             problems.append("empty journal")
+        for column in ("year", "words"):
+            try:
+                numbers[column] = int(row[column])
+            except ValueError:
+                problems.append(f"{column} {row[column]!r} is not an integer")
         if status not in STATUSES:
             problems.append(f"status {status!r} is not one of {', '.join(STATUSES)}")
         elif verdicts and status != STATUS_ANALYZED:
@@ -252,7 +252,8 @@ def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
         ]
         if problems:
             raise ValueError("; ".join(problems))
-        return CorpusResult(meta, status, verdicts, word_count)
+        meta = SourceMeta(paper_id=pid, journal=journal, year=numbers["year"], path="")
+        return CorpusResult(meta, status, verdicts, numbers["words"])
 
     header, results = read_table(path, RESULT_COLUMNS, "results", parse_row)
     return results, [c for c in header if c not in RESULT_COLUMNS]

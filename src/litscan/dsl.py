@@ -22,7 +22,8 @@ File format (UTF-8, one analyzer per file):
 In example lines the [[[ ]]] markers enclose the primary match target and
 each __ __ pair encloses one supporting phrase. Lines whose first non-space
 character is '#' are comments, except #RegexpMatcher(...)# tokens inside the
-[skip] section. Synonym lists may wrap across lines.
+[skip] section. Synonym lists may wrap across lines. Each header key may
+be given once.
 """
 
 import re
@@ -88,10 +89,6 @@ class SkipMatcher:
     def __post_init__(self) -> None:
         flags = re.IGNORECASE if self.case_insensitive else 0
         object.__setattr__(self, "compiled", re.compile(self.pattern, flags))
-
-    def token(self) -> str:
-        flags = "i" if self.case_insensitive else ""
-        return f'#RegexpMatcher(r"{self.pattern}"{flags})#'
 
 
 @dataclass(frozen=True)
@@ -177,6 +174,7 @@ def parse_analyzer(source: str, source_name: str = "<string>") -> AnalyzerSpec:
     skips: list[SkipMatcher] = []
     synonym_chunks: list[str] = []
     errors: list[tuple[int, str]] = []
+    keys_given: set[str] = set()
     section: str | None = None
 
     for lineno, rawline in enumerate(source.splitlines(), start=1):
@@ -200,6 +198,10 @@ def parse_analyzer(source: str, source_name: str = "<string>") -> AnalyzerSpec:
             if key not in _HEADER_KEYS or not sep:
                 errors.append((lineno, f"expected a header line or section, got {stripped!r}"))
                 continue
+            if key in keys_given:
+                errors.append((lineno, f"header key {key!r} given twice"))
+                continue
+            keys_given.add(key)
             if key == "analyzer":
                 if not _IDENT_RE.match(value):
                     errors.append((lineno, f"invalid analyzer name {value!r}"))
@@ -274,34 +276,6 @@ def parse_analyzer(source: str, source_name: str = "<string>") -> AnalyzerSpec:
         region_fraction=region_fraction,
         mode=mode,
     )
-
-
-def serialize_analyzer(spec: AnalyzerSpec) -> str:
-    """Render a spec back to the file format. parse(serialize(spec)) is
-    structurally equal to spec."""
-    out = [f"analyzer: {spec.name}"]
-    if spec.tags:
-        out.append("tags: " + ", ".join(spec.tags))
-    if spec.region_fraction != 1.0:
-        out.append(f"region: prefix:{spec.region_fraction!r}")
-    if spec.mode != "classify":
-        out.append(f"mode: {spec.mode}")
-    out.append("")
-    out.append("[positive]")
-    out.extend(ex.raw_line for ex in spec.positives)
-    if spec.negatives:
-        out.append("")
-        out.append("[negative]")
-        out.extend(ex.raw_line for ex in spec.negatives)
-    if spec.skips:
-        out.append("")
-        out.append("[skip]")
-        out.extend(sk.token() for sk in spec.skips)
-    if spec.synonyms:
-        out.append("")
-        out.append("[synonyms]")
-        out.append(", ".join(f'"{s}"' for s in spec.synonyms))
-    return "\n".join(out) + "\n"
 
 
 def load_bundle(directory: str | Path) -> list[AnalyzerSpec]:

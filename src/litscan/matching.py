@@ -26,8 +26,7 @@ engine skips to in C, so it only tries the positions holding it; the pieces
 of a group therefore begin with as few and as rare characters as its terms
 allow: starting from every character of the terms, the commonest (by
 LETTER_ORDER) are dropped while every term can still place its pieces on the
-letters left, and each term then takes its longest pieces on them. A term
-searched for on its own is a group of one.
+letters left, and each term then takes its longest pieces on them.
 
 In near-miss prose most piece hits can begin or end no span, so each hit is
 tested where it is found, inside the regex and so in C. The part of the term
@@ -127,10 +126,6 @@ def _one_edit_distance(a: str, b: str) -> int:
     else:
         same = a[i:] == b[i + 1 :]
     return 1 if same else 2
-
-
-def _fuzzy(term: str, max_edits: int, fuzzy_min_len: int) -> bool:
-    return max_edits >= 1 and len(term) >= max(fuzzy_min_len, 2)
 
 
 def _layout(term: str, fuzzy: bool, letters: frozenset[str]) -> Layout | None:
@@ -299,9 +294,12 @@ class PieceScanner:
 
 
 def group_scanner(specs: Iterable[AnalyzerSpec], config: MatchConfig) -> PieceScanner:
-    """The scanner of the terms of a group of analyzers under `config`."""
+    """The scanner of the terms of a group of analyzers under `config`: a
+    term is fuzzy when max_edits is 1 and it has at least fuzzy_min_len
+    characters, and at least 2."""
+    min_len = max(config.fuzzy_min_len, 2)
     return PieceScanner(
-        (term, _fuzzy(term, config.max_edits, config.fuzzy_min_len)) for spec in specs for term in spec.terms
+        (term, config.max_edits >= 1 and len(term) >= min_len) for spec in specs for term in spec.terms
     )
 
 
@@ -315,25 +313,16 @@ def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], scanner: Piece
     return scanner.scan(doc.normalized, 0, end)
 
 
-def find_term(
-    text: str,
-    region: Region,
-    term: str,
-    max_edits: int,
-    fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LEN,
-    piece_starts: PieceStarts | None = None,
-) -> list[Region]:
+def find_term(text: str, region: Region, term: str, piece_starts: PieceStarts) -> list[Region]:
     """All spans inside `region` whose substring is within edit distance E of
     `term`, where E = 1 when the term's layout has a start piece, else 0.
 
-    `piece_starts` holds the starts of the term's pieces in a range covering
-    `region`, as `scan_pieces` gives them for a group of analyzers, with the
-    layout the term's pieces were cut by; a term it has no layout for raises
-    KeyError. Those are only the starts whose hits passed the scan's tests,
-    which every start a span can be built from does; the layout decides E.
-    Without it the term's own scanner is built, fuzzy when the term is at
-    least `fuzzy_min_len` characters long and max_edits allows it, and
-    scanned with; `max_edits` and `fuzzy_min_len` serve nothing else.
+    `piece_starts` is required: the starts of the term's pieces in a range
+    covering `region`, as `scan_pieces` gives them for a group of analyzers,
+    with the layout the term's pieces were cut by; a term it has no layout
+    for raises KeyError. Those are only the starts whose hits passed the
+    scan's tests, which every start a span can be built from does; the
+    layout decides E.
 
     With E = 0 a hit of the suffix term[c:] at q proposes the span starting
     at q - c. With E = 1 a hit of the start piece term[a:b] at q proposes
@@ -352,8 +341,6 @@ def find_term(
     if not term:
         raise ValueError("term must be non-empty")
     lo, hi = max(region.start, 0), min(region.end, len(text))
-    if piece_starts is None:
-        piece_starts = PieceScanner([(term, _fuzzy(term, max_edits, fuzzy_min_len))]).scan(text, lo, hi)
     a, b, c = piece_starts.layouts[term]
     length = len(term)
     ends = piece_starts.get(term[c:], ())
@@ -459,21 +446,17 @@ def _polarity_key(polarity: str) -> int:
 
 
 def run_analyzer(
-    doc: DocumentText,
-    spec: AnalyzerSpec,
-    config: MatchConfig,
-    piece_starts: PieceStarts | None = None,
+    doc: DocumentText, spec: AnalyzerSpec, config: MatchConfig, piece_starts: PieceStarts
 ) -> list[EvidenceMatch]:
     """Locate all evidence one analyzer finds in a document.
 
     For every example, every candidate term (primary plus synonyms) is
     searched inside the analyzer's region; a term shared by several examples
-    is searched once per call. `piece_starts` comes from `scan_pieces` over a
-    group of analyzers that includes this one, with the group's scanner;
-    without it this call builds the analyzer's own scanner and scans with it
-    once, which costs far more than the search. Only the terms in its `hit`
-    set are searched, as no other term can match; an analyzer with none of
-    its terms hit returns nothing at once.
+    is searched once per call. `piece_starts` is required: it comes from
+    `scan_pieces` over a group of analyzers that includes this one, with the
+    group's scanner. Only the terms in its `hit` set are searched, as no
+    other term can match; an analyzer with none of its terms hit returns
+    nothing at once.
 
     One stretch of text is one piece of evidence: a span contained in a
     longer span from the same example's term set is dropped, so "t test"
@@ -487,8 +470,6 @@ def run_analyzer(
     """
     region = prefix_region(doc, spec.region_fraction)
     text = doc.normalized
-    if piece_starts is None:
-        piece_starts = group_scanner((spec,), config).scan(text, 0, region.end)
     hit = piece_starts.hit
     if hit.isdisjoint(spec.terms):
         return []
@@ -500,11 +481,7 @@ def run_analyzer(
             for term in spec.candidate_terms(example):
                 spans = spans_of.get(term)
                 if spans is None:
-                    spans = spans_of[term] = (
-                        find_term(text, region, term, config.max_edits, config.fuzzy_min_len, piece_starts)
-                        if term in hit
-                        else []
-                    )
+                    spans = spans_of[term] = find_term(text, region, term, piece_starts) if term in hit else []
                 for span in spans:
                     by_span.setdefault(span, term)
             exact = {span for span, term in by_span.items() if text[span.start : span.end] == term}

@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 
 from litscan.corpus import Bundle
-from litscan.dsl import load_bundle
-from litscan.ingest import SourceMeta, make_document
-from litscan.matching import MatchConfig
+from litscan.dsl import AnalyzerSpec, SkipMatcher, load_bundle
+from litscan.ingest import Region, SourceMeta, make_document
+from litscan.matching import MatchConfig, PieceScanner, PieceStarts, group_scanner, scan_pieces
 from litscan.synthetic import FILLER_WORDS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +39,57 @@ def osa_distance(a: str, b: str) -> int:
             row[j] = best
         prev2, prev = prev, row
     return prev[lb]
+
+
+def scan_alone(text, target, config: MatchConfig = MatchConfig(), region: Region | None = None) -> PieceStarts:
+    """The piece starts that `target` has when it is scanned for on its own.
+
+    An analyzer (an AnalyzerSpec) is scanned for in `text`, a document, up
+    to its region's end by `matching.group_scanner` for it alone. A list of
+    terms is scanned for in `region` of `text`, a string (all of it by
+    default), by their own scanner, in which a term is fuzzy when
+    config.max_edits is 1 and it has at least config.fuzzy_min_len
+    characters, and at least 2: the rule group_scanner applies."""
+    if isinstance(target, AnalyzerSpec):
+        return scan_pieces(text, [target], group_scanner([target], config))
+    min_len = max(config.fuzzy_min_len, 2)
+    scanner = PieceScanner((term, config.max_edits >= 1 and len(term) >= min_len) for term in target)
+    lo, hi = region or (0, len(text))
+    return scanner.scan(text, max(lo, 0), min(hi, len(text)))
+
+
+def skip_token(skip: SkipMatcher) -> str:
+    """The `[skip]` line that parses to `skip`."""
+    flags = "i" if skip.case_insensitive else ""
+    return f'#RegexpMatcher(r"{skip.pattern}"{flags})#'
+
+
+def serialize_analyzer(spec: AnalyzerSpec) -> str:
+    """Render a spec back to the file format. parse(serialize(spec)) is
+    structurally equal to spec."""
+    out = [f"analyzer: {spec.name}"]
+    if spec.tags:
+        out.append("tags: " + ", ".join(spec.tags))
+    if spec.region_fraction != 1.0:
+        out.append(f"region: prefix:{spec.region_fraction!r}")
+    if spec.mode != "classify":
+        out.append(f"mode: {spec.mode}")
+    out.append("")
+    out.append("[positive]")
+    out.extend(ex.raw_line for ex in spec.positives)
+    if spec.negatives:
+        out.append("")
+        out.append("[negative]")
+        out.extend(ex.raw_line for ex in spec.negatives)
+    if spec.skips:
+        out.append("")
+        out.append("[skip]")
+        out.extend(skip_token(sk) for sk in spec.skips)
+    if spec.synonyms:
+        out.append("")
+        out.append("[synonyms]")
+        out.append(", ".join(f'"{s}"' for s in spec.synonyms))
+    return "\n".join(out) + "\n"
 
 
 def filler(n_words: int, seed: int = 11) -> list[str]:

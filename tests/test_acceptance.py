@@ -7,10 +7,10 @@ import time
 
 import pytest
 
-from conftest import ANALYZER_DIR, filler, make_doc
+from conftest import ANALYZER_DIR, filler, make_doc, scan_alone, serialize_analyzer
 from litscan.cli import main as cli_main
 from litscan.corpus import CorpusResult, RunConfig, classify_paper, run_corpus
-from litscan.dsl import parse_analyzer, serialize_analyzer
+from litscan.dsl import parse_analyzer
 from litscan.ingest import Region, SourceMeta, load_manifest
 from litscan.matching import find_term, run_analyzer
 from litscan.scoring import aggregate_tags, resolve_analyzer
@@ -44,8 +44,8 @@ def test_criterion_01_three_analyzer_tag_aggregation(compiled, by_name, match_co
     started = time.perf_counter()
 
     evidences = {
-        name: resolve_analyzer(run_analyzer(doc, by_name[name], match_config), by_name[name])
-        for name in ("mann_whitney_u", "students_t_test", "cliffs_delta")
+        spec.name: resolve_analyzer(run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config)), spec)
+        for spec in (by_name[name] for name in ("mann_whitney_u", "students_t_test", "cliffs_delta"))
     }
     assert evidences["mann_whitney_u"].verdict == "positive"
     assert len(evidences["mann_whitney_u"].positive_matches) == 2
@@ -63,8 +63,8 @@ def test_criterion_01_three_analyzer_tag_aggregation(compiled, by_name, match_co
     assert result.tag_verdicts["parametric_test"] == "negative"
 
     classify_evidence = [
-        resolve_analyzer(run_analyzer(doc, s, match_config), s)
-        for s in compiled.classifiers
+        resolve_analyzer(run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config)), spec)
+        for spec in compiled.classifiers
     ]
     counts = {
         s.tag: (len(s.positive_analyzers), len(s.negative_analyzers))
@@ -88,7 +88,8 @@ def test_criterion_02_skip_matchers_cancel_unit_tests(compiled, by_name, match_c
     assert doc.word_count == 5000
     assert doc.normalized.count("unit tests") == 25
 
-    matches = run_analyzer(doc, by_name["students_t_test"], match_config)
+    spec = by_name["students_t_test"]
+    matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
     assert len(matches) >= 25
     assert all(m.skipped for m in matches)
     result, _ = classify_paper(doc, compiled, RunConfig())
@@ -108,7 +109,7 @@ def test_criterion_03_negative_evidence_overrides(by_name, match_config):
     )
     doc = make_doc(text)
     spec = by_name["effect_size"]
-    ev = resolve_analyzer(run_analyzer(doc, spec, match_config), spec)
+    ev = resolve_analyzer(run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config)), spec)
     assert ev.positive_matches, "positive phrasing should still match"
     assert ev.negative_matches, "the negation sentence must confirm"
     assert ev.verdict == "negative"
@@ -175,7 +176,8 @@ def test_criterion_06_fuzzy_matcher_oracle_equivalence():
         cut = rng.randrange(len(doc) + 1)
         doc = doc[:cut] + " " + variant + " " + doc[cut:]
         region = Region(0, len(doc))
-        assert find_term(doc, region, term, 1) == oracle_find(doc, region, term, 1)
+        starts = scan_alone(doc, [term])
+        assert find_term(doc, region, term, starts) == oracle_find(doc, region, term, 1)
         trials += 1
     elapsed = time.perf_counter() - started
     assert trials == 1000

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import ANALYZER_DIR, make_doc
+from conftest import ANALYZER_DIR, make_doc, scan_alone, serialize_analyzer, skip_token
 from litscan.dsl import (
     AnalyzerParseError,
     AnalyzerSpec,
@@ -10,7 +10,6 @@ from litscan.dsl import (
     load_bundle,
     parse_analyzer,
     parse_skip_matcher,
-    serialize_analyzer,
 )
 from litscan.ingest import Region
 from litscan.matching import EvidenceMatch, apply_skips, run_analyzer
@@ -90,7 +89,8 @@ def test_a_directly_built_example_equals_the_parsed_one(match_config):
     assert built == parsed
     assert ExampleTemplate("x", "a", ("Used", "used", "'"), "positive").normalized_supports == ("used",)
     spec = AnalyzerSpec("direct", (built,), (), (), (), ("t",))
-    matches = run_analyzer(make_doc("We used a Student's t-test here"), spec, match_config)
+    doc = make_doc("We used a Student's t-test here")
+    matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
     assert [(m.matched_term, m.span, len(m.matched_supports)) for m in matches] == [
         ("students t test", Region(10, 25), 1)
     ]
@@ -99,7 +99,7 @@ def test_a_directly_built_example_equals_the_parsed_one(match_config):
 def test_a_directly_built_skip_matcher_equals_the_parsed_one():
     token = r'#RegexpMatcher(r"[a-zA-Z]{1}t(\s+|-)test"i)#'
     built = SkipMatcher(r"[a-zA-Z]{1}t(\s+|-)test", True)
-    assert built == parse_skip_matcher(token) and built.token() == token
+    assert built == parse_skip_matcher(token) and skip_token(built) == token
     text = "several unit tests were written"
     match = EvidenceMatch(0, "positive", "t test", Region(11, 17), (), 0, 1)
     (out,) = apply_skips([match], (built,), text)
@@ -152,6 +152,16 @@ def test_region_prefix_parsing_and_bounds():
     assert spec.region_fraction == 0.05
     _expect_error("analyzer: x\ntags: t\nregion: prefix:1.5\n[positive]\na [[[b]]]\n", "region fraction")
     _expect_error("analyzer: x\ntags: t\nregion: sometimes\n[positive]\na [[[b]]]\n", "region must be")
+
+
+@pytest.mark.parametrize("header, line, key", [
+    ("analyzer: a\nanalyzer: b\ntags: t", 2, "analyzer"),
+    ("analyzer: x\nregion: prefix:0.05\ntags: t\nregion: full", 4, "region"),
+    ("analyzer: x\ntags: t\nmode: exclude\nMode: exclude", 4, "mode"),
+])
+def test_a_header_key_given_twice_is_an_error(header, line, key):
+    # neither value wins quietly, not even when both are the same
+    _expect_error(f"{header}\n[positive]\na [[[b]]]\n", f"line {line}: header key '{key}' given twice")
 
 
 def test_comments_ignored_but_skip_tokens_are_not():

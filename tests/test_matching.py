@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import filler, make_doc, osa_distance
+from conftest import filler, make_doc, osa_distance, scan_alone
 from litscan.dsl import parse_analyzer, parse_skip_matcher
 from litscan.ingest import Region
 from litscan.matching import (
@@ -95,14 +95,14 @@ def exact_starts(text: str, lo: int, hi: int, piece: str) -> list[int]:
 
 
 def test_exact_occurrence_yields_one_exact_span():
-    text = "we used a students t test to check"
-    spans = find_term(text, Region(0, len(text)), "students t test", max_edits=1)
+    text, term = "we used a students t test to check", "students t test"
+    spans = find_term(text, Region(0, len(text)), term, scan_alone(text, [term]))
     assert spans == [Region(10, 25)]
 
 
 def test_substring_semantics_fire_inside_words():
     text = "several unit tests were written"
-    spans = find_term(text, Region(0, len(text)), "t test", max_edits=1)
+    spans = find_term(text, Region(0, len(text)), "t test", scan_alone(text, ["t test"]))
     assert spans == [Region(11, 17)]
     assert text[11:17] == "t test"
 
@@ -110,7 +110,7 @@ def test_substring_semantics_fire_inside_words():
 def test_single_deletion_matched_for_long_terms():
     text = "we ran the kolmogrov smirnov check"
     term = "kolmogorov smirnov"
-    spans = find_term(text, Region(0, len(text)), term, max_edits=1)
+    spans = find_term(text, Region(0, len(text)), term, scan_alone(text, [term]))
     assert spans == [Region(11, 28)]
     assert osa_distance(term, text[11:28]) == 1
     assert spans == oracle_find(text, Region(0, len(text)), term, 1)
@@ -122,29 +122,29 @@ def test_transposition_across_the_midpoint_matched():
     text = "we ran the kolmogorvo smirnov check"
     term = "kolmogorov smirnov"
     region = Region(0, len(text))
-    shared = PieceScanner(_terms_of([term, "t test", "shapiro wilk"], 1, 8)).scan(text, 0, len(text))
-    assert find_term(text, region, term, 1) == [Region(11, 29)]
-    assert find_term(text, region, term, 1, 8, shared) == [Region(11, 29)]
+    shared = scan_alone(text, [term, "t test", "shapiro wilk"])
+    assert find_term(text, region, term, scan_alone(text, [term])) == [Region(11, 29)]
+    assert find_term(text, region, term, shared) == [Region(11, 29)]
     assert oracle_find(text, region, term, 1) == [Region(11, 29)]
     assert osa_distance(term, text[11:29]) == 1
 
 
 def test_short_terms_never_fuzzy():
     text = "a t tost here"
-    assert find_term(text, Region(0, len(text)), "t test", max_edits=1) == []
+    assert find_term(text, Region(0, len(text)), "t test", scan_alone(text, ["t test"])) == []
 
 
 def test_region_bounds_respected():
     text = "students t test early and students t test late"
     region = Region(0, 25)
-    spans = find_term(text, region, "students t test", max_edits=1)
+    spans = find_term(text, region, "students t test", scan_alone(text, ["students t test"], region=region))
     assert spans == [Region(0, 15)]
     assert all(s.start >= region.start and s.end <= region.end for s in spans)
 
 
 def test_empty_term_rejected():
     with pytest.raises(ValueError):
-        find_term("abc", Region(0, 3), "", 0)
+        find_term("abc", Region(0, 3), "", scan_alone("abc", []))
 
 
 def test_one_edit_check_equals_capped_osa_distance_exhaustively():
@@ -173,76 +173,79 @@ def test_exact_mode_equals_naive_substring_search(text, term):
     while start != -1:
         expected.append(Region(start, start + len(term)))
         start = text.find(term, start + 1)
-    assert find_term(text, Region(0, len(text)), term, max_edits=0) == expected
+    starts = scan_alone(text, [term], MatchConfig(max_edits=0))
+    assert find_term(text, Region(0, len(text)), term, starts) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(norm_text, st.text(alphabet=st.sampled_from(list("ab ")), min_size=8, max_size=12))
 def test_fuzzy_mode_agrees_with_oracle(text, term):
     region = Region(0, len(text))
-    assert find_term(text, region, term, max_edits=1) == oracle_find(text, region, term, 1)
+    starts = scan_alone(text, [term])
+    assert find_term(text, region, term, starts) == oracle_find(text, region, term, 1)
+
+
+def _draw_region(data, text):
+    """A region lo <= hi drawn over the whole text."""
+    lo = data.draw(st.integers(0, len(text)))
+    return Region(lo, data.draw(st.integers(lo, len(text))))
 
 
 @settings(max_examples=60, deadline=None)
-@given(norm_text, norm_term, st.integers(0, 60), st.integers(0, 60))
-def test_fuzzy_oracle_agreement_on_subregions(text, term, a, b):
-    lo, hi = sorted((min(a, len(text)), min(b, len(text))))
-    region = Region(lo, hi)
-    got = find_term(text, region, term, max_edits=1)
-    assert got == oracle_find(text, region, term, 1)
-    assert all(s.start >= lo and s.end <= hi for s in got)
+@given(norm_text, norm_term, st.sampled_from([2, 5, 8]), st.data())
+def test_fuzzy_oracle_agreement_on_subregions(text, term, fuzzy_min_len, data):
+    # the term is planted, so that regions often hold a span of it
+    at = data.draw(st.integers(0, len(text)))
+    text = text[:at] + term + text[at:]
+    region = _draw_region(data, text)
+    got = find_term(text, region, term, scan_alone(text, [term], MatchConfig(fuzzy_min_len=fuzzy_min_len), region))
+    assert got == oracle_find(text, region, term, 1, fuzzy_min_len)
+    assert all(s.start >= region.start and s.end <= region.end for s in got)
 
 
 # --- shared piece scan ------------------------------------------------------
 
 
-def _terms_of(terms, max_edits, fuzzy_min_len):
-    """(term, fuzzy) pairs, each fuzzy as find_term decides it."""
-    return {(t, max_edits >= 1 and len(t) >= max(fuzzy_min_len, 2)) for t in terms}
-
-
-def _assert_scan_agrees_with_oracle(text, lo, hi, terms):
-    """The scan keeps some exact starts of each piece, ascending, and marks
-    hit only terms with an exact piece start; find_term through it finds
-    what the oracle finds in text[lo:hi]."""
-    scanner = PieceScanner(terms)
-    got = scanner.scan(text, lo, hi)
-    pieces = {p for term, layout in scanner.layouts.items() for p in _pieces(term, layout)}
+def _assert_scan_agrees_with_oracle(text, lo, hi, got):
+    """The scan of text[lo:hi] that gave `got` kept some exact starts of
+    each piece, ascending, and marked hit only terms with an exact piece
+    start; find_term through it finds what the oracle finds there."""
+    pieces = {p for term, layout in got.layouts.items() for p in _pieces(term, layout)}
     assert set(got) <= pieces
     for piece, starts in got.items():
         exact = exact_starts(text, lo, hi, piece)
         assert starts == sorted(set(starts)) and set(starts) <= set(exact), piece
     assert got.hit <= {
         term
-        for term, layout in scanner.layouts.items()
+        for term, layout in got.layouts.items()
         if any(exact_starts(text, lo, hi, p) for p in _pieces(term, layout))
     }
     region = Region(lo, hi)
-    for term, fuzzy in terms:
-        # fuzzy_min_len=2 leaves the budget to max_edits alone
-        spans = find_term(text, region, term, int(fuzzy), 2, got)
-        assert spans == oracle_find(text, region, term, int(fuzzy), 2), term
+    for term, (a, b, _) in got.layouts.items():
+        # a term is fuzzy when its layout has a start piece; fuzzy_min_len=2
+        # then leaves the budget to max_edits alone
+        spans = find_term(text, region, term, got)
+        assert spans == oracle_find(text, region, term, int(a != b), 2), term
         assert not spans or term in got.hit, term
-    return got
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     norm_text,
     st.lists(norm_term, min_size=1, max_size=5),
-    st.integers(0, 80),
-    st.integers(0, 80),
     st.sampled_from([0, 1]),
     st.sampled_from([2, 5, 8]),
+    st.data(),
 )
-def test_shared_scan_equals_single_term_search_and_oracle(text, terms, a, b, max_edits, fuzzy_min_len):
+def test_shared_scan_equals_single_term_search_and_oracle(text, terms, max_edits, fuzzy_min_len, data):
     # over "ab " one piece is often a prefix of another, so hits fan out
-    lo, hi = sorted((min(a, len(text)), min(b, len(text))))
-    region = Region(lo, hi)
-    shared = _assert_scan_agrees_with_oracle(text, 0, len(text), _terms_of(terms, max_edits, fuzzy_min_len))
+    region = _draw_region(data, text)
+    config = MatchConfig(max_edits=max_edits, fuzzy_min_len=fuzzy_min_len)
+    shared = scan_alone(text, terms, config)
+    _assert_scan_agrees_with_oracle(text, 0, len(text), shared)
     for term in terms:
-        alone = find_term(text, region, term, max_edits, fuzzy_min_len)
-        assert find_term(text, region, term, max_edits, fuzzy_min_len, shared) == alone
+        alone = find_term(text, region, term, scan_alone(text, [term], config, region))
+        assert find_term(text, region, term, shared) == alone
         assert alone == oracle_find(text, region, term, max_edits, fuzzy_min_len)
 
 
@@ -255,14 +258,14 @@ def test_find_term_is_sound_on_every_exact_piece_start(terms, max_edits, fuzzy_m
     tails = sorted({term[i:] for term in terms for i in range(len(term))} | set("ab "))
     text = "".join(data.draw(st.lists(st.sampled_from(tails), max_size=20)))
     region = Region(0, len(text))
-    layouts = PieceScanner(_terms_of(terms, max_edits, fuzzy_min_len)).layouts
+    layouts = scan_alone(text, terms, MatchConfig(max_edits=max_edits, fuzzy_min_len=fuzzy_min_len)).layouts
     every = PieceStarts(layouts)
     for term, layout in layouts.items():
         for piece in _pieces(term, layout):
             every[piece] = exact_starts(text, 0, len(text), piece)
     every.hit = set(layouts)
     for term in terms:
-        got = find_term(text, region, term, max_edits, fuzzy_min_len, every)
+        got = find_term(text, region, term, every)
         assert got == oracle_find(text, region, term, max_edits, fuzzy_min_len), term
 
 
@@ -272,15 +275,16 @@ def test_shared_scan_escapes_regex_metacharacters():
         "pxvalue aab f(x) backslash cost $5 p.value a+b back\\slash mean (sd) + 1.5$ "
         "mean (sd) + 1,5$ f(x)) meann (sd) + 1.5$"
     )
-    shared = _assert_scan_agrees_with_oracle(text, 0, len(text), _terms_of(terms, 1, 8))
+    shared = scan_alone(text, terms)
+    _assert_scan_agrees_with_oracle(text, 0, len(text), shared)
     region = Region(0, len(text))
     for term in terms:
-        got = find_term(text, region, term, 1, 8, shared)
+        got = find_term(text, region, term, shared)
         assert got == oracle_find(text, region, term, 1, 8)
         assert got, term  # every term occurs at least once
     # unescaped, "." and "+" would also match "pxvalue" and "aab"
-    assert [text[s:e] for s, e in find_term(text, region, "p.value", 1, 8, shared)] == ["p.value"]
-    assert [text[s:e] for s, e in find_term(text, region, "a+b", 1, 8, shared)] == ["a+b"]
+    assert [text[s:e] for s, e in find_term(text, region, "p.value", shared)] == ["p.value"]
+    assert [text[s:e] for s, e in find_term(text, region, "a+b", shared)] == ["a+b"]
 
 
 def test_scan_end_cuts_off_a_longer_piece_but_keeps_its_prefix():
@@ -291,22 +295,24 @@ def test_scan_end_cuts_off_a_longer_piece_but_keeps_its_prefix():
     assert scanner.scan(text, 0, 6) == {"ab": [3], "bc": [4]}
     assert scanner.scan(text, 0, 7) == {"ab": [3], "abcd": [3], "bc": [4]}
     assert scanner.scan(text, 4, len(text)) == {"ab": [8], "abcd": [8], "bc": [4, 9]}
-    assert find_term(text, Region(0, 6), "ab", 0) == [Region(3, 5)]
-    assert find_term(text, Region(0, 6), "abcd", 0) == []
+    exact = MatchConfig(max_edits=0)
+    assert find_term(text, Region(0, 6), "ab", scan_alone(text, ["ab"], exact, Region(0, 6))) == [Region(3, 5)]
+    assert find_term(text, Region(0, 6), "abcd", scan_alone(text, ["abcd"], exact, Region(0, 6))) == []
 
 
 def test_a_piece_hit_only_as_a_prefix_still_hits_its_term():
     text = "xx abcd yy"
-    terms = [("ab", False), ("abcd", False)]
-    starts = _assert_scan_agrees_with_oracle(text, 0, len(text), terms)
+    starts = PieceScanner([("ab", False), ("abcd", False)]).scan(text, 0, len(text))
+    _assert_scan_agrees_with_oracle(text, 0, len(text), starts)
     assert starts.layouts == {"ab": (0, 0, 0), "abcd": (0, 0, 0)}
     assert starts == {"ab": [3], "abcd": [3]}  # the regex matched only "abcd"
     assert starts.hit == {"ab", "abcd"}
     region = Region(0, len(text))
-    assert find_term(text, region, "ab", 0, 8, starts) == [Region(3, 5)]
-    assert find_term(text, region, "abcd", 0, 8, starts) == [Region(3, 7)]
+    assert find_term(text, region, "ab", starts) == [Region(3, 5)]
+    assert find_term(text, region, "abcd", starts) == [Region(3, 7)]
     spec = parse_analyzer("analyzer: nested\ntags: t\n\n[positive]\n[[[ab]]]\n[[[abcd]]]\n")
-    matches = run_analyzer(make_doc(text), spec, MatchConfig())
+    doc = make_doc(text)
+    matches = run_analyzer(doc, spec, MatchConfig(), scan_alone(doc, spec))
     assert [(m.matched_term, m.span) for m in matches] == [("ab", Region(3, 5)), ("abcd", Region(3, 7))]
 
 
@@ -314,24 +320,26 @@ def test_pieces_that_can_make_no_span_are_not_recorded():
     # both pieces occur, but "power ana" runs on into "tomy", and "ysis"
     # follows "ral", not "anal", in a span that does not begin with "power"
     text = "paralysis of power anatomy"
-    terms = [("power analysis", True)]
-    scanner = PieceScanner(terms)
+    scanner = PieceScanner([("power analysis", True)])
     pieces = _pieces("power analysis", scanner.layouts["power analysis"])
     assert all(exact_starts(text, 0, len(text), p) for p in pieces), pieces
-    starts = _assert_scan_agrees_with_oracle(text, 0, len(text), terms)
+    starts = scanner.scan(text, 0, len(text))
+    _assert_scan_agrees_with_oracle(text, 0, len(text), starts)
     assert starts == {} and starts.hit == set()
 
 
 def test_a_piece_that_is_both_start_and_end_piece_keeps_both_tests():
     # "ab ab" on its own letters cuts "ab" twice; the one hit of "ab" fails
     # the end piece's test but passes the start piece's
-    terms = [("ab ab", True)]
-    assert PieceScanner(terms).layouts["ab ab"] == (0, 2, 3)
+    scanner = PieceScanner([("ab ab", True)])
+    assert scanner.layouts["ab ab"] == (0, 2, 3)
     text = "ab aa"
-    starts = _assert_scan_agrees_with_oracle(text, 0, len(text), terms)
+    starts = scanner.scan(text, 0, len(text))
+    _assert_scan_agrees_with_oracle(text, 0, len(text), starts)
     assert starts == {"ab": [0]} and starts.hit == {"ab ab"}
     region = Region(0, len(text))
-    assert find_term(text, region, "ab ab", 1, 5) == oracle_find(text, region, "ab ab", 1, 5) == [region]
+    alone = scan_alone(text, ["ab ab"], MatchConfig(fuzzy_min_len=5), region)
+    assert find_term(text, region, "ab ab", alone) == oracle_find(text, region, "ab ab", 1, 5) == [region]
 
 
 def test_scanner_without_pieces_finds_nothing():
@@ -342,9 +350,9 @@ def test_scanner_without_pieces_finds_nothing():
 def test_a_term_missing_from_the_scan_is_an_error():
     text = "we used a students t test"
     starts = PieceScanner([("t test", False)]).scan(text, 0, len(text))
-    assert find_term(text, Region(0, len(text)), "t test", 1, 8, starts) == [Region(19, 25)]
+    assert find_term(text, Region(0, len(text)), "t test", starts) == [Region(19, 25)]
     with pytest.raises(KeyError):
-        find_term(text, Region(0, len(text)), "students t test", 1, 8, starts)
+        find_term(text, Region(0, len(text)), "students t test", starts)
 
 
 # --- start letters chosen per group -----------------------------------------
@@ -389,8 +397,8 @@ def test_group_start_letters_lose_no_one_edit_match(bundle, match_config, mode):
         a, b, c = starts.layouts[term]
         # two pieces with a gap between them, or a suffix alone
         assert (a < b < c if fuzzy else a == b) and c < len(term), term
-        got = find_term(text, region, term, 1, 8, starts)
-        assert got == find_term(text, region, term, 1, 8), term
+        got = find_term(text, region, term, starts)
+        assert got == find_term(text, region, term, scan_alone(text, [term], match_config, region)), term
         assert got == oracle_find(text, region, term, 1), term
         for variant, slot in slots:
             if fuzzy or variant == term:
@@ -404,11 +412,12 @@ def test_two_character_terms_match_within_one_edit():
     text, region = doc.normalized, Region(0, len(doc.normalized))
     starts = scan_pieces(doc, [spec], group_scanner([spec], config))
     for term, exact in (("aa", Region(10, 12)), ("xy", Region(2, 4))):
-        got = find_term(text, region, term, 1, 2, starts)
-        assert got == find_term(text, region, term, 1, 2) == oracle_find(text, region, term, 1, 2)
+        got = find_term(text, region, term, starts)
+        alone = scan_alone(text, [term], config, region)
+        assert got == find_term(text, region, term, alone) == oracle_find(text, region, term, 1, 2)
         assert exact in got
-    assert Region(5, 7) in find_term(text, region, "xy", 1, 2, starts)  # the swap "yx"
-    assert run_analyzer(doc, spec, config)
+    assert Region(5, 7) in find_term(text, region, "xy", starts)  # the swap "yx"
+    assert run_analyzer(doc, spec, config, starts)
 
 
 def _every_term_hit(starts: PieceStarts, group) -> PieceStarts:
@@ -448,7 +457,8 @@ def test_run_analyzer_on_hit_terms_equals_searching_every_term(bundle, compiled,
         for spec in group:
             got = run_analyzer(doc, spec, match_config, starts)
             assert got == run_analyzer(doc, spec, match_config, every), spec.name
-            assert got == run_analyzer(doc, spec, match_config), spec.name
+            alone = scan_alone(doc, spec, match_config)
+            assert got == run_analyzer(doc, spec, match_config, alone), spec.name
 
 
 # --- find_supports ----------------------------------------------------------
@@ -580,8 +590,9 @@ def test_skip_never_touches_negative_matches():
 
 def test_positive_example_with_supports_scores_high(by_name, match_config):
     doc = make_doc("We used a Student's t-test with the significance level α set to 0.05")
-    matches = run_analyzer(doc, by_name["students_t_test"], match_config)
-    ev = resolve_analyzer(matches, by_name["students_t_test"])
+    spec = by_name["students_t_test"]
+    matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
+    ev = resolve_analyzer(matches, spec)
     assert ev.verdict == "positive"
     assert ev.positive_matches
     top = ev.positive_matches[0]
@@ -590,22 +601,23 @@ def test_positive_example_with_supports_scores_high(by_name, match_config):
 
 
 def test_negative_example_confirms(by_name, match_config):
-    doc = make_doc("We did not use a Student's t-test to compare")
-    matches = run_analyzer(doc, by_name["students_t_test"], match_config)
+    doc, spec = make_doc("We did not use a Student's t-test to compare"), by_name["students_t_test"]
+    matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
     negatives = [m for m in matches if m.polarity == "negative"]
     assert len(negatives) == 1
     assert len(negatives[0].matched_supports) == negatives[0].supports_total
 
 
 def test_empty_document_yields_nothing(by_name, match_config):
-    doc = make_doc("")
-    assert run_analyzer(doc, by_name["students_t_test"], match_config) == []
+    doc, spec = make_doc(""), by_name["students_t_test"]
+    assert run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config)) == []
 
 
 def test_run_analyzer_deterministic(by_name, match_config):
     doc = make_doc("We used a Student's t-test and unit tests and a t test again")
-    a = run_analyzer(doc, by_name["students_t_test"], match_config)
-    b = run_analyzer(doc, by_name["students_t_test"], match_config)
+    spec = by_name["students_t_test"]
+    a = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
+    b = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
     assert a == b
     keys = [(0 if m.polarity == "positive" else 1, m.span.start, m.example_index) for m in a]
     assert keys == sorted(keys)
@@ -616,11 +628,11 @@ def test_region_restricted_analyzer_ignores_late_text(by_name, match_config):
     words = ["word"] * 3000
     late = " ".join(words) + " this systematic literature review surveys published evidence"
     doc = make_doc(late)
-    assert run_analyzer(doc, spec, match_config) == []
+    assert run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config)) == []
 
     early = "this systematic literature review surveys published evidence " + " ".join(words)
     doc = make_doc(early)
-    matches = run_analyzer(doc, spec, match_config)
+    matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
     assert matches
     limit = 0.05 * len(doc.normalized)
     assert all(m.span.end <= limit for m in matches)
@@ -630,16 +642,17 @@ def test_score_monotone_in_supports(by_name, match_config):
     spec = by_name["friedman_test"]
     bare = make_doc("the friedman test ran on ranked data")
     with_support = make_doc("we applied the friedman test ran on ranked data")
-    score_bare = max(m.score for m in run_analyzer(bare, spec, match_config))
-    score_supported = max(m.score for m in run_analyzer(with_support, spec, match_config))
+    score_bare = max(m.score for m in run_analyzer(bare, spec, match_config, scan_alone(bare, spec, match_config)))
+    supported = run_analyzer(with_support, spec, match_config, scan_alone(with_support, spec, match_config))
+    score_supported = max(m.score for m in supported)
     assert score_bare == 1
     assert score_supported >= score_bare + 1
 
 
 def test_exact_span_beats_a_one_edit_span_one_character_longer(by_name, match_config):
     # "effect size " is one edit from the synonym "effect sizes"
-    doc = make_doc("the effect size of the treatment was large")
-    matches = run_analyzer(doc, by_name["effect_size"], match_config)
+    doc, spec = make_doc("the effect size of the treatment was large"), by_name["effect_size"]
+    matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
     assert matches
     for m in matches:
         assert m.matched_term == "effect size"
@@ -649,8 +662,8 @@ def test_exact_span_beats_a_one_edit_span_one_character_longer(by_name, match_co
 
 def test_longer_one_edit_span_still_beats_an_exact_span_inside_it(by_name, match_config):
     # exact "t test" inside a misspelt "students t test"
-    doc = make_doc("we used a stkdents t test here")
-    matches = run_analyzer(doc, by_name["students_t_test"], match_config)
+    doc, spec = make_doc("we used a stkdents t test here"), by_name["students_t_test"]
+    matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
     assert matches
     assert {(m.matched_term, m.span) for m in matches} == {("students t test", Region(10, 25))}
 
@@ -669,4 +682,5 @@ def test_randomized_injections_agree_with_oracle():
         doc_words.insert(rng.randrange(len(doc_words) + 1), variant)
         text = " ".join(doc_words)
         region = Region(0, len(text))
-        assert find_term(text, region, term, 1) == oracle_find(text, region, term, 1)
+        starts = scan_alone(text, [term])
+        assert find_term(text, region, term, starts) == oracle_find(text, region, term, 1)

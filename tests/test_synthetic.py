@@ -1,7 +1,7 @@
 import random
 from pathlib import Path
 
-from conftest import make_doc, osa_distance
+from conftest import make_doc, osa_distance, scan_alone
 from litscan.ingest import normalize
 from litscan.matching import run_analyzer
 from litscan.scoring import VERDICT_NEGATIVE, VERDICT_NONE, VERDICT_POSITIVE, resolve_analyzer
@@ -17,7 +17,9 @@ from litscan.synthetic import (
 
 def _verdicts(doc, bundle, match_config):
     return {
-        spec.name: resolve_analyzer(run_analyzer(doc, spec, match_config), spec).verdict
+        spec.name: resolve_analyzer(
+            run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config)), spec
+        ).verdict
         for spec in bundle
         if spec.mode == "classify"
     }
@@ -33,7 +35,7 @@ def test_filler_vocabulary_is_inert(bundle, match_config):
     pairs = " ".join(f"{a} {b}" for a in FILLER_WORDS for b in FILLER_WORDS)
     doc = make_doc(pairs)
     for spec in bundle:
-        assert run_analyzer(doc, spec, match_config) == [], spec.name
+        assert run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config)) == [], spec.name
 
 
 def test_exact_chunks_fire_only_their_analyzer(bundle, match_config):
@@ -66,7 +68,8 @@ def test_trap_chunk_is_skipped_everywhere(bundle, match_config, by_name):
     doc = make_doc(f"{_pad(5)} {TRAP_CHUNK} {_pad(6)}")
     verdicts = _verdicts(doc, bundle, match_config)
     assert all(v == VERDICT_NONE for v in verdicts.values())
-    matches = run_analyzer(doc, by_name["students_t_test"], match_config)
+    spec = by_name["students_t_test"]
+    matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
     assert matches and all(m.skipped for m in matches)
 
 
