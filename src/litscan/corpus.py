@@ -236,10 +236,11 @@ def read_results_csv(path: str | Path) -> tuple[list[CorpusResult], list[str]]:
         if not journal.strip():
             problems.append("empty journal")
         for column in ("year", "words"):
-            try:
-                numbers[column] = int(row[column])
-            except ValueError:
-                problems.append(f"{column} {row[column]!r} is not an integer")
+            cell = row[column]  # as classify writes it: ASCII digits, no sign, space or "_"
+            if cell.isascii() and cell.isdigit():
+                numbers[column] = int(cell)
+            else:
+                problems.append(f"{column} {cell!r} is not an integer")
         if status not in STATUSES:
             problems.append(f"status {status!r} is not one of {', '.join(STATUSES)}")
         elif verdicts and status != STATUS_ANALYZED:

@@ -19,9 +19,9 @@ a shorter term) and is checked whole.
 
 The exact occurrences of every piece of a group of analyzers are found
 together: the pieces with the same first character are compiled once into a
-trie-shaped regex whose longest match at a position names every piece that
-starts there, and one search loop per regex over the group's region records
-them all. Each regex opens with its literal character, which the regex
+trie-shaped regex whose match at a position sets an empty group for every
+piece that starts there (and passes its test, below), and one search loop
+per regex over the group's region records them all. Each regex opens with its literal character, which the regex
 engine skips to in C, so it only tries the positions holding it; the pieces
 of a group therefore begin with as few and as rare characters as its terms
 allow: starting from every character of the terms, the commonest (by
@@ -30,10 +30,13 @@ letters left, and each term then takes its longest pieces on them.
 
 In near-miss prose most piece hits can begin or end no span, so each hit is
 tested where it is found, inside the regex and so in C. The part of the term
-on the edit's side of the piece is cut at one of its characters; one edit,
-an adjacent swap included, leaves whole either the term before that
-character or the term after it, and lookarounds at the piece's end look for
-both. A hit that fails is not recorded, and a term with no recorded hit
+on the edit's side of the piece is cut at its middle character and again at
+the middle of each side, and one edit, an adjacent swap included, lies
+wholly in one window between two neighbouring cuts. So the term is whole
+from the piece up to that window and again past it, and lookarounds at the
+piece's end look for that, window by window. A hit that shares only one
+word of a two-word term fails. A hit that fails is not recorded, not even
+where a longer piece that it begins passes; a term with no recorded hit
 cannot match: the scan names the terms it hit, and only those are searched.
 
 That scan test is the only split test. Each span a recorded hit proposes is
@@ -166,11 +169,27 @@ def _start_letters(terms: set[tuple[str, bool]]) -> frozenset[str]:
     LETTER_ORDER) that every term can do without. The scan only tries the
     positions holding one of them."""
     letters = frozenset(ch for term, _ in terms for ch in term)
+    # a layout whose pieces begin with other letters than ch still fits
+    # without ch, so only the terms whose pieces may begin with ch are laid
+    # out again; (term, fuzzy) -> the letters its pieces may begin with
+    firsts = {key: set(key[0]) for key in terms}
     for ch in LETTER_ORDER:
         fewer = letters - {ch}
-        if ch in letters and all(_layout(term, fuzzy, fewer) for term, fuzzy in terms if ch in term):
+        moved = {key: _layout(*key, fewer) for key, used in firsts.items() if ch in used}
+        if all(moved.values()):
             letters = fewer
+            firsts.update({key: {p[0] for p in _pieces(key[0], layout)} for key, layout in moved.items()})
     return letters
+
+
+def _cuts(lo: int, hi: int) -> list[int]:
+    """Where to cut term[lo:hi + 1], the part of a term on the edit's side
+    of a piece: at its middle, then at the middle of each side, keeping the
+    cuts in lo < x <= hi. Each cut is a character of its own; windows
+    between neighbouring cuts share it, so one edit, an adjacent swap
+    included, lies wholly in one window."""
+    mid = (lo + hi + 1) // 2
+    return sorted({x for x in ((lo + mid) // 2, mid, (mid + hi + 1) // 2) if lo < x <= hi})
 
 
 def _piece_tests(term: str, layout: Layout) -> list[tuple[str, str]]:
@@ -179,7 +198,14 @@ def _piece_tests(term: str, layout: Layout) -> list[tuple[str, str]]:
     passes when a span of the term can begin or end there; "" when every hit
     passes. It is the only split test: `find_term` checks every span a
     recorded hit proposes in full. A term whose start and end pieces are
-    equal gives that piece both tests."""
+    equal gives that piece both tests.
+
+    The part of the term on the edit's side of the piece is cut twice over
+    (`_cuts`), and the test has one alternative per window between two
+    cuts: the edit lies in that window, so the term is whole from the piece
+    up to the window and again past it, at one of the span's three lengths.
+    A hit that shares only one word of a term ("the regression and" for
+    "linear regression") fails in C, not in `find_term`."""
     a, b, c = layout
     length = len(term)
     if a == b:  # the suffix of a term with no edit budget: the whole term ends here
@@ -187,43 +213,60 @@ def _piece_tests(term: str, layout: Layout) -> list[tuple[str, str]]:
     if b == c:  # a 2-character term
         return [(piece, "") for piece in _pieces(term, layout)]
     # A start-piece hit ends at the span's start + b, and the edit lies in
-    # term[b:], cut with a gap at m: term[b:m] follows the piece, or
-    # term[m + 1:] ends the span at one of its three lengths.
-    m = (b + length) // 2
-    start = (f"(?<={re.escape(term[:a])}.{{{b - a}}})" if a else "") + (
-        f"(?={re.escape(term[b:m])}|.{{{m - b},{m - b + 2}}}{re.escape(term[m + 1 :])})"
-    )
+    # term[b:]: for the window term[x:y + 1], term[b:x] follows the piece
+    # and term[y + 1:] ends the span (the last window ends the term).
+    bounds = [b, *_cuts(b, length - 1), length - 1]
+    ahead = [
+        f"{re.escape(term[b:x])}.{{{y - x},{y - x + 2}}}{re.escape(term[y + 1 :])}"
+        for x, y in zip(bounds, bounds[1:-1])
+    ]
+    ahead.append(re.escape(term[b : bounds[-2]]))
+    start = (f"(?<={re.escape(term[:a])}.{{{b - a}}})" if a else "") + f"(?={'|'.join(ahead)})"
     # An end-piece hit ends where the span does, and the edit lies in
-    # term[:c], cut with a gap at k: term[k + 1:c] precedes the piece, or
-    # term[:k] begins the span at one of its three lengths (one fixed-width
-    # lookbehind each).
-    k = c // 2
-    end = ""
-    if k + 1 < c:
-        lead = (f"(?<={re.escape(term[:k])}.{{{n - k}}})" for n in (length - 1, length, length + 1))
-        end = "|".join((f"(?<={re.escape(term[k + 1 : c])}.{{{length - c}}})", *lead))
-    return [(term[a:b], start), (term[c:], end)]
+    # term[:c]: for the window term[x:y + 1], term[y + 1:c] precedes the
+    # piece and term[:x] begins the span at one of its three lengths. One
+    # lookbehind as long as the longest span holds both, and looks ahead for
+    # term[:x] from that span's start. It fails where fewer characters
+    # precede the hit; the spans that still fit there end at the text's
+    # offsets length - 1 and length, and every hit ending there passes.
+    bounds = [0, *_cuts(0, c - 1), c - 1]
+    behind = []
+    for x, y in zip(bounds, bounds[1:]):
+        lead = f"(?=.{{0,2}}{re.escape(term[:x])}).{{{y + 2}}}" if x else ""
+        behind.append(f"(?<={lead}{re.escape(term[y + 1 : c])}.{{{length - c}}})")
+    behind += [f"(?<=^.{{{length - 1}}})", f"(?<=^.{{{length}}})"]
+    return [(term[a:b], start), (term[c:], "|".join(behind))]
 
 
-def _trie_pattern(tests: Mapping[str, str]) -> str:
+def _trie_pattern(tests: Mapping[str, str]) -> tuple[str, list[str]]:
     """A regex alternation of the pieces in `tests`, nested by shared
-    prefix. At every node the text picks at most one branch, and where a
-    piece ends its test is the last branch, so the match at a position is the
-    longest piece that starts there and passes its test."""
+    prefix, and the pieces in the order of its groups. At every node the
+    text picks at most one branch. Where a piece ends, its test is tried
+    first and sets the piece's empty group when it passes, and the node
+    matches when a longer piece does or that group is set; so a match sets
+    the group of every piece that starts there and passes its test."""
     trie: dict = {}
     for piece, test in tests.items():
         node = trie
         for ch in piece:
             node = node.setdefault(ch, {})
-        node[""] = test  # a piece ends here
+        node[""] = piece  # a piece ends here
+    pieces: list[str] = []
 
     def alternation(node: dict) -> str:
+        piece = node.get("")
+        if piece is not None:
+            pieces.append(piece)  # before its children's, as its group opens before theirs
+            group, test = len(pieces), tests[piece]
         branches = [re.escape(ch) + alternation(child) for ch, child in sorted(node.items()) if ch]
-        if "" in node:
-            branches.append(node[""])
-        return f"(?:{'|'.join(branches)})" if len(branches) > 1 or "" in node else branches[0]
+        if piece is None:
+            return f"(?:{'|'.join(branches)})" if len(branches) > 1 else branches[0]
+        passed = f"(?:{test})()" if test else "()"
+        if not branches:
+            return passed
+        return f"(?={passed}|)(?:{'|'.join(branches)}|(?({group})|(?!)))"
 
-    return alternation(trie)
+    return alternation(trie), pieces
 
 
 class PieceStarts(dict[str, list[int]]):
@@ -246,8 +289,7 @@ class PieceScanner:
     pairs), overlapping starts included, with one regex search loop per
     first character of the pieces. The pieces begin with the start letters
     chosen for the terms together, and a start is kept only where its piece
-    passes the test of at least one term it is cut from, or is a prefix of
-    a kept piece.
+    passes the test of at least one term it is cut from.
 
     Building one picks the letters and compiles the regexes, which takes
     milliseconds (tens for a large group), so a scanner is built once per
@@ -268,11 +310,10 @@ class PieceScanner:
         for piece, either in tests.items():  # a hit passes when one test does; any hit passes ""
             by_letter.setdefault(piece[0], {})[piece] = "" if "" in either else "|".join(sorted(either))
         # each pattern opens with a literal character, which `re` skips to in C
-        self._searches = [re.compile(_trie_pattern(by_letter[ch]), re.S).search for ch in sorted(by_letter)]
-        # a hit on the longest piece at a position is a hit on each piece that is its prefix
-        self._prefixes = {
-            p: tuple(p[:i] for i in range(1, len(p) + 1) if p[:i] in self._terms_of) for p in self._terms_of
-        }
+        self._searches = []
+        for ch in sorted(by_letter):
+            pattern, pieces = _trie_pattern(by_letter[ch])
+            self._searches.append((re.compile(pattern, re.S).search, pieces))
 
     def scan(self, text: str, lo: int, hi: int) -> PieceStarts:
         """The starts of the pieces lying wholly inside text[lo:hi] whose
@@ -281,13 +322,13 @@ class PieceScanner:
         at a position, the one for its character, so each piece's starts
         come from one loop and stay ascending."""
         starts = PieceStarts(self.layouts)
-        prefixes = self._prefixes
-        for search in self._searches:
+        for search, pieces in self._searches:
             m = search(text, lo, hi)
             while m:
                 s = m.start()
-                for piece in prefixes[m.group()]:
-                    starts.setdefault(piece, []).append(s)
+                for piece, passed in zip(pieces, m.groups()):
+                    if passed is not None:
+                        starts.setdefault(piece, []).append(s)
                 m = search(text, s + 1, hi)
         starts.hit = {term for piece in starts for term in self._terms_of[piece]}
         return starts

@@ -328,6 +328,60 @@ def test_pieces_that_can_make_no_span_are_not_recorded():
     assert starts == {} and starts.hit == set()
 
 
+@pytest.mark.parametrize(
+    "text, term",
+    [
+        ("the regression and", "linear regression"),
+        ("the effect change", "effect size"),
+        ("the confidence of the", "confidence interval"),
+    ],
+)
+def test_a_lone_shared_word_records_no_start(compiled, text, term):
+    # the text holds a piece of the term as the classification group cuts
+    # it, and one word of the term without the other
+    scanner = compiled.classification_scanner
+    assert any(exact_starts(text, 0, len(text), p) for p in _pieces(term, scanner.layouts[term]))
+    starts = scanner.scan(text, 0, len(text))
+    assert starts == {} and starts.hit == set()
+
+
+def test_a_prefix_piece_is_recorded_only_where_its_own_test_passes():
+    # both terms anchor on "q", so "qvx" is a prefix of "qvxj"; in "cd qvxj"
+    # only the longer piece has the rest of its term before it
+    scanner = PieceScanner([("ab qvx", False), ("cd qvxj", False)])
+    assert scanner.layouts == {"ab qvx": (0, 0, 3), "cd qvxj": (0, 0, 3)}
+    for text, want in (
+        ("cd qvxj", {"qvxj": [3]}),
+        ("ab qvxj", {"qvx": [3]}),
+        ("ab qvx cd qvxj", {"qvx": [3], "qvxj": [10]}),
+    ):
+        starts = scanner.scan(text, 0, len(text))
+        _assert_scan_agrees_with_oracle(text, 0, len(text), starts)
+        assert starts == want, text
+        assert starts.hit == {term for term in scanner.layouts if term.endswith(tuple(want))}, text
+
+
+@pytest.mark.parametrize(
+    "term", ["effect size", "bayes factor", "power analysis", "linear regression", "mann whitney u test"]
+)
+def test_group_scan_is_sound_for_every_one_edit_variant_at_the_text_edges(compiled, term):
+    # the end piece's test looks back as far as the longest span, which the
+    # first characters of a text do not reach; offsets 0-2 put spans there
+    scanner = compiled.classification_scanner
+    assert 8 <= len(term) <= 20 and " " in term and term in scanner.layouts
+    for variant in _one_edit_variants(term):
+        placed = [(left, variant + " of the data") for left in ("", "a", "a ")]
+        placed += [("we ran a ", variant + " of the data"), ("we ran a ", variant)]
+        for left, right in placed:
+            text = left + right
+            starts = scanner.scan(text, 0, len(text))
+            for region in (Region(0, len(text)), Region(0, len(left) + len(variant))):
+                got = find_term(text, region, term, starts)
+                assert got == oracle_find(text, region, term, 1), (text, region)
+                if variant == term:
+                    assert Region(len(left), len(left) + len(term)) in got, (text, region)
+
+
 def test_a_piece_that_is_both_start_and_end_piece_keeps_both_tests():
     # "ab ab" on its own letters cuts "ab" twice; the one hit of "ab" fails
     # the end piece's test but passes the start piece's

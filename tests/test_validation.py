@@ -264,7 +264,8 @@ def test_results_readers_report_every_bad_line(tmp_path, capsys, command):
     results, argv = _results_reader(tmp_path, command)
     results.write_text(
         'paper_id,journal,year,words,status,t\np1,"J\nK",2010,5000,analyzed,positive\n'
-        "p2,J,2010\np3,J,20x0,5000,analyzed,none\np4,J,2011,many,analyzed,none\n,,20x0,5000,analysed,pos\n",
+        "p2,J,2010\np3,J,20x0,5000,analyzed,none\np4,J,2011,many,analyzed,none\n,,20x0,5000,analysed,pos\n"
+        "p5,J,2_010,5000,analyzed,none\np6,J,+2011, 4_000 ,analyzed,none\n",
         encoding="utf-8",
     )
     assert main(argv) == 1
@@ -272,6 +273,9 @@ def test_results_readers_report_every_bad_line(tmp_path, capsys, command):
     # p1's quoted journal spans lines 2 and 3
     assert err.startswith(f"error: {results}: line 4: 3 cells, the header has 6")
     assert "line 5: year '20x0' is not an integer;" in err and "line 6: words 'many' is not an integer;" in err
+    # int() takes these, but classify writes ASCII digits alone
+    assert "line 8: year '2_010' is not an integer;" in err
+    assert "line 9: year '+2011' is not an integer; words ' 4_000 ' is not an integer" in err
     # a bad number is one of the row's problems, not the only one named
     assert (
         "line 7: empty paper_id; empty journal; year '20x0' is not an integer; status 'analysed' is not one of "
