@@ -185,11 +185,12 @@ def _start_letters(terms: set[tuple[str, bool]]) -> frozenset[str]:
 def _cuts(lo: int, hi: int) -> list[int]:
     """Where to cut term[lo:hi + 1], the part of a term on the edit's side
     of a piece: at its middle, then at the middle of each side, keeping the
-    cuts in lo < x <= hi. Each cut is a character of its own; windows
-    between neighbouring cuts share it, so one edit, an adjacent swap
-    included, lies wholly in one window."""
+    cuts in lo < x < hi (a cut at either end adds only a window that implies
+    its neighbour). Each cut is a character of its own; windows between
+    neighbouring cuts share it, so one edit, an adjacent swap included,
+    lies wholly in one window."""
     mid = (lo + hi + 1) // 2
-    return sorted({x for x in ((lo + mid) // 2, mid, (mid + hi + 1) // 2) if lo < x <= hi})
+    return sorted({x for x in ((lo + mid) // 2, mid, (mid + hi + 1) // 2) if lo < x < hi})
 
 
 def _piece_tests(term: str, layout: Layout) -> list[tuple[str, str]]:
@@ -225,17 +226,18 @@ def _piece_tests(term: str, layout: Layout) -> list[tuple[str, str]]:
     # An end-piece hit ends where the span does, and the edit lies in
     # term[:c]: for the window term[x:y + 1], term[y + 1:c] precedes the
     # piece and term[:x] begins the span at one of its three lengths. One
-    # lookbehind as long as the longest span holds both, and looks ahead for
-    # term[:x] from that span's start. It fails where fewer characters
-    # precede the hit; the spans that still fit there end at the text's
-    # offsets length - 1 and length, and every hit ending there passes.
+    # lookbehind as long as the longest span looks ahead from that span's
+    # start for both. It fails where fewer characters precede the hit; the
+    # spans that still fit there end at the text's offsets length - 1 and
+    # length, and every hit ending there passes.
     bounds = [0, *_cuts(0, c - 1), c - 1]
     behind = []
     for x, y in zip(bounds, bounds[1:]):
-        lead = f"(?=.{{0,2}}{re.escape(term[:x])}).{{{y + 2}}}" if x else ""
-        behind.append(f"(?<={lead}{re.escape(term[y + 1 : c])}.{{{length - c}}})")
-    behind += [f"(?<=^.{{{length - 1}}})", f"(?<=^.{{{length}}})"]
-    return [(term[a:b], start), (term[c:], "|".join(behind))]
+        before = f".{{{y + 2}}}{re.escape(term[y + 1 : c])}" if y + 1 < c else ""
+        lead = f".{{0,2}}{re.escape(term[:x])}" if x else ""
+        behind.append(f"(?={lead}){before}" if lead and before else lead or before)
+    end = f"(?<=(?={'|'.join(behind)}).{{{length + 1}}})|(?<=^.{{{length - 1}}})|(?<=^.{{{length}}})"
+    return [(term[a:b], start), (term[c:], end)]
 
 
 def _trie_pattern(tests: Mapping[str, str]) -> tuple[str, list[str]]:
