@@ -21,12 +21,13 @@ The exact occurrences of every piece of a group of analyzers are found
 together: the pieces with the same first character are compiled once into a
 trie-shaped regex whose match at a position sets an empty group for every
 piece that starts there (and passes its test, below), and one search loop
-per regex over the group's region records them all. Each regex opens with its literal character, which the regex
-engine skips to in C, so it only tries the positions holding it; the pieces
-of a group therefore begin with as few and as rare characters as its terms
-allow: starting from every character of the terms, the commonest (by
-LETTER_ORDER) are dropped while every term can still place its pieces on the
-letters left, and each term then takes its longest pieces on them.
+per regex over the group's region records them all. Each regex opens with
+its literal character, which the regex engine skips to in C, so it only
+tries the positions holding it; the pieces of a group therefore begin with
+as few and as rare characters as its terms allow: starting from every
+character of the terms, the commonest (by LETTER_ORDER) are dropped while
+every term can still place its pieces on the letters left, and each term
+then takes its longest pieces on them.
 
 In near-miss prose most piece hits can begin or end no span, so each hit is
 tested where it is found, inside the regex and so in C. The part of the term
