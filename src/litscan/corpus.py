@@ -130,30 +130,28 @@ def classify_file(
     meta: SourceMeta,
     bundle: Bundle,
     config: RunConfig,
-    reports_dir: Path | None,
+    reports_dir: Path,
 ) -> tuple[CorpusResult | None, str | None]:
     """Load and classify one paper and write its report to
-    `reports_dir/<paper_id>.txt` (none when reports_dir is None); returns
-    (result, error). Any failure, an unwritable report included, costs only
-    this paper: its error is the paper's errors.csv message, and its report,
-    even one an earlier run wrote, is removed."""
+    `reports_dir/<paper_id>.txt`; returns (result, error). Any failure, an
+    unwritable report included, costs only this paper: its error is the
+    paper's errors.csv message, and its report, even one an earlier run
+    wrote, is removed."""
     try:
         result, report = classify_paper(load_document(meta, config.converter), bundle, config)
-        if reports_dir is not None:
-            (reports_dir / f"{meta.paper_id}.txt").write_text(report, encoding="utf-8")
+        (reports_dir / f"{meta.paper_id}.txt").write_text(report, encoding="utf-8")
     except Exception as exc:  # per-paper isolation
         log.exception("classifying %s failed", meta.paper_id)
-        if reports_dir is not None:
-            with contextlib.suppress(OSError):  # the error row is written either way
-                (reports_dir / f"{meta.paper_id}.txt").unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # the error row is written either way
+            (reports_dir / f"{meta.paper_id}.txt").unlink(missing_ok=True)
         return None, f"{meta.paper_id}: {type(exc).__name__}: {exc}"
     return result, None
 
 
-_WORKER_ARGS: tuple[Bundle, RunConfig, Path | None] | None = None
+_WORKER_ARGS: tuple[Bundle, RunConfig, Path] | None = None
 
 
-def _init_worker(bundle: Bundle, config: RunConfig, reports_dir: Path | None) -> None:
+def _init_worker(bundle: Bundle, config: RunConfig, reports_dir: Path) -> None:
     global _WORKER_ARGS
     _WORKER_ARGS = (bundle, config, reports_dir)
 
@@ -166,12 +164,12 @@ def run_corpus(
     metas: list[SourceMeta],
     bundle: Bundle,
     config: RunConfig,
-    reports_dir: Path | None,
+    reports_dir: Path,
     jobs: int = 1,
 ) -> list[tuple[SourceMeta, CorpusResult | None, str | None]]:
     """Classify every manifest paper and write its report to
-    `reports_dir/<paper_id>.txt` (no reports when it is None); returns
-    (meta, result, error) rows in manifest order, whatever `jobs` is.
+    `reports_dir/<paper_id>.txt`; returns (meta, result, error) rows in
+    manifest order, whatever `jobs` is.
 
     The process that classifies a paper writes its report, so only results
     and errors come back, never report text. A single worker is this

@@ -4,7 +4,7 @@ An analyzer bundles everything needed to detect one technique: positive and
 negative annotated examples, skip matchers, synonyms for the primary term,
 and the tags its evidence contributes to.
 
-File format (UTF-8, one analyzer per file):
+File format (UTF-8, a byte-order mark allowed, one analyzer per file):
 
     analyzer: <identifier>
     tags: <id>, <id>, ...
@@ -292,10 +292,10 @@ def load_bundle(directory: str | Path) -> list[AnalyzerSpec]:
     problems: list[str] = []
     for f in files:
         try:
-            specs.append(parse_analyzer(f.read_text(encoding="utf-8"), source_name=f.name))
+            specs.append(parse_analyzer(f.read_text(encoding="utf-8-sig"), source_name=f.name))
         except AnalyzerParseError as exc:
             problems.append(str(exc))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             problems.append(f"{f.name}: unreadable ({exc})")
     if problems:
         raise BundleError("bundle failed to load:\n  " + "\n  ".join(problems))

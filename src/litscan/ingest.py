@@ -16,8 +16,9 @@ import logging
 import math
 import re
 from bisect import bisect_right
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -221,33 +222,47 @@ def table_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
+def csv_records(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(line, cells) for each record of a UTF-8 CSV file, a leading
+    byte-order mark allowed, where line is the record's last physical line
+    (a quoted cell may hold a line break). A file that is not UTF-8, or that
+    csv cannot split (a cell over csv's field size limit), raises a
+    ValueError naming it: the one reader of litscan's CSV files."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            for cells in reader:
+                yield reader.line_num, cells
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_table(
     path: str | Path, columns: Sequence[str], what: str, parse_row: Callable[[dict], object]
 ) -> tuple[list[str], list]:
-    """Read a CSV file whose header has `columns`, and no column twice, and
-    return the header and parse_row(row) for each row; `what` names the file
-    in header errors. A row holds the cells csv gives, None for a short row's
-    missing ones. Each ValueError parse_row raises, and each row with extra
-    cells, becomes `line N: ...` (N the row's last physical line); one
-    ValueError lists them all."""
+    """Read a CSV file (see csv_records) whose header has `columns`, and no
+    column twice, and return the header and parse_row(row) for each row;
+    `what` names the file in header errors. A row maps each column to its
+    cell, None for a short row's missing ones; blank lines are skipped. Each
+    ValueError parse_row raises, and each row with extra cells, becomes
+    `line N: ...`; one ValueError lists them all."""
+    records = csv_records(path)
+    header = next(records, (0, []))[1]
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:  # a dict row would keep only one of their cells
+        raise ValueError(f"{path}: {what} header repeats columns: {repeated}")
+    missing = set(columns) - set(header)
+    if missing:
+        raise ValueError(f"{path}: {what} is missing columns: {sorted(missing)}")
     parsed, errors = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:  # a dict row would keep only one of their cells
-            raise ValueError(f"{path}: {what} header repeats columns: {repeated}")
-        missing = set(columns) - set(header)
-        if missing:
-            raise ValueError(f"{path}: {what} is missing columns: {sorted(missing)}")
-        for row in reader:
-            lineno = reader.line_num  # a quoted cell may hold a line break
-            if None in row:  # csv puts the cells past the header under None
-                cells = len(header) + len(row[None])
-                errors.append(f"line {lineno}: {cells} cells, the header has {len(header)}")
-                continue
+    for lineno, cells in records:
+        if len(cells) > len(header):
+            errors.append(f"line {lineno}: {len(cells)} cells, the header has {len(header)}")
+        elif cells:
             try:
-                parsed.append(parse_row(row))
+                parsed.append(parse_row(dict(zip_longest(header, cells))))
             except ValueError as exc:
                 errors.append(f"line {lineno}: {exc}")
     if errors:

@@ -359,51 +359,47 @@ def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], scanner: Piece
 
 def find_term(text: str, region: Region, term: str, piece_starts: PieceStarts) -> list[Region]:
     """All spans inside `region` whose substring is within edit distance E of
-    `term`, where E = 1 when the term's layout has a start piece, else 0.
+    `term`, where E, the edit budget, is 1 when the term's layout has a
+    start piece (a < b), else 0.
 
     `piece_starts` is required: the starts of the term's pieces in a range
     covering `region`, as `scan_pieces` gives them for a group of analyzers,
     with the layout the term's pieces were cut by; a term it has no layout
     for raises KeyError. Those are only the starts whose hits passed the
-    scan's tests, which every start a span can be built from does; the
-    layout decides E.
+    scan's tests, which every start a span can be built from does.
 
-    With E = 0 a hit of the suffix term[c:] at q proposes the span starting
-    at q - c. With E = 1 a hit of the start piece term[a:b] at q proposes
-    the spans starting at q - a, a hit of the end piece term[c:] the spans
-    ending where it ends, each at the term's length and one either side, and
-    for a 2-character term a hit of the swapped term the span it covers.
-    The scan's tests are the only filter: each proposed span inside
-    `region` is checked once in full.
+    One propose-and-verify loop serves both budgets. A span is L - E to
+    L + E characters long (L the term's length). A hit of the end piece
+    term[c:] proposes the spans ending where it ends, at each of those
+    lengths; with E = 1 a hit of the start piece term[a:b] at q also
+    proposes the spans starting at q - a, and for a 2-character term a hit
+    of the swapped term the span it covers. The scan's tests are the only
+    filter: each proposed span inside `region` is checked once in full and
+    kept when its distance is at most E.
 
     One occurrence is reported once: spans sharing a start position keep
     the closest (then longest) span, and a span overlapped by a strictly
     closer span is dropped, so the one-edit halo around an exact occurrence
-    does not multiply it. With E = 0 this degrades to naive substring search.
+    does not multiply it. With E = 0 this is naive substring search.
     Results are sorted by start.
     """
     if not term:
         raise ValueError("term must be non-empty")
     lo, hi = max(region.start, 0), min(region.end, len(text))
     a, b, c = piece_starts.layouts[term]
+    edits = int(a < b)
     length = len(term)
-    ends = piece_starts.get(term[c:], ())
-    if a == b:  # no edit budget: the suffix ends where the term does
-        starts = (q - c for q in ends)
-        return sorted(
-            Region(s, s + length) for s in starts if lo <= s <= hi - length and text.startswith(term, s)
-        )
-
-    lengths = (length - 1, length, length + 1)
-    candidates = [(q - a, n) for q in piece_starts.get(term[a:b], ()) for n in lengths]
-    candidates += [(q + length - c - n, n) for q in ends for n in lengths]
-    if b == c:
-        candidates += [(q, length) for q in piece_starts.get(term[::-1], ())]
+    lengths = range(length - edits, length + edits + 1)
+    candidates = [(q + length - c - n, n) for q in piece_starts.get(term[c:], ()) for n in lengths]
+    if edits:
+        candidates += [(q - a, n) for q in piece_starts.get(term[a:b], ()) for n in lengths]
+        if b == c:
+            candidates += [(q, length) for q in piece_starts.get(term[::-1], ())]
     best: dict[int, tuple[int, int]] = {}  # start -> (distance, -length): closest, then longest
     for s, n in candidates:
         if lo <= s and s + n <= hi:
             d = _one_edit_distance(term, text[s : s + n])
-            if d < 2 and (d, -n) < best.get(s, (2, 0)):
+            if d <= edits and (d, -n) < best.get(s, (2, 0)):
                 best[s] = (d, -n)
     found = sorted((s, s - neg_len, d) for s, (d, neg_len) in best.items())  # (start, end, distance)
     return [
@@ -443,8 +439,6 @@ def apply_skips(
     Negative matches are never skipped. Idempotent; never adds, removes, or
     reorders matches.
     """
-    if not skips:
-        return list(matches)
     out: list[EvidenceMatch] = []
     for m in matches:
         if m.polarity != POSITIVE or m.skipped:

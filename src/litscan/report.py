@@ -14,8 +14,6 @@ CONTEXT_CHARS = 120
 
 
 def _raw_span(doc: DocumentText, span: Region) -> tuple[int, int]:
-    if span.end <= span.start:
-        return (0, 0)
     return (raw_index(doc.offset_map, span.start), raw_index(doc.offset_map, span.end - 1) + 1)
 
 
@@ -31,17 +29,19 @@ def _clean(text: str) -> str:
     return text
 
 
-def snippet(doc: DocumentText, span: Region, context: int = CONTEXT_CHARS) -> str:
-    """Raw-text context around a normalized-text span, with the primary
-    match delimited by » and «."""
+def snippet(doc: DocumentText, span: Region) -> str:
+    """Raw-text context of CONTEXT_CHARS characters either side of a
+    normalized-text span, with the primary match delimited by » and «."""
     rs, re_ = _raw_span(doc, span)
-    pre = doc.raw[max(0, rs - context): rs]
-    post = doc.raw[re_: re_ + context]
+    pre = doc.raw[max(0, rs - CONTEXT_CHARS): rs]
+    post = doc.raw[re_: re_ + CONTEXT_CHARS]
     return _clean(f"{pre}»{doc.raw[rs:re_]}«{post}")
 
 
 def _match_line(doc: DocumentText, m: EvidenceMatch) -> str:
     line = f"score={m.score} {snippet(doc, m.span)}"
+    if m.skipped:
+        line = f"skipped by {m.skipped_by}: {line}"
     if m.matched_supports:
         line += " supports: [" + ", ".join(p for p, _ in m.matched_supports) + "]"
     return line
@@ -82,16 +82,13 @@ def render_report(
             continue
         lines.append("")
         lines.append(f"analyzer {ev.analyzer}: {ev.verdict} (total score {ev.total_score})")
-        if ev.negative_matches:
-            lines.append("  negative evidence:")
-            for m in ev.negative_matches:
-                lines.append("    " + _match_line(doc, m))
-        if ev.positive_matches:
-            lines.append("  positive evidence:")
-            for m in ev.positive_matches:
-                lines.append("    " + _match_line(doc, m))
-        if ev.skipped_matches:
-            lines.append("  skipped:")
-            for m in ev.skipped_matches:
-                lines.append(f"    skipped by {m.skipped_by}: " + _match_line(doc, m))
+        blocks = (
+            ("negative evidence", ev.negative_matches),
+            ("positive evidence", ev.positive_matches),
+            ("skipped", ev.skipped_matches),
+        )
+        for title, matches in blocks:
+            if matches:
+                lines.append(f"  {title}:")
+                lines.extend("    " + _match_line(doc, m) for m in matches)
     return "\n".join(lines) + "\n"

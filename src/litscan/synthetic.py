@@ -23,7 +23,7 @@ from pathlib import Path
 from .corpus import Bundle
 from .dsl import AnalyzerSpec
 from .ingest import MANIFEST_COLUMNS, SourceMeta, make_document, normalize, table_text, word_count_of
-from .matching import MatchConfig, run_analyzer, scan_pieces
+from .matching import run_analyzer, scan_pieces
 from .scoring import VERDICT_POSITIVE, resolve_analyzer
 from .validation import LABEL_ABSENT, LABEL_PRESENT, TRUTH_COLUMNS
 
@@ -45,6 +45,8 @@ FILLER_WORDS = (
 ).split()
 
 TRAP_CHUNK = "the unit tests were run on every build"
+JOURNALS = ("JA", "JB", "JC", "JD", "JE")
+YEARS = (2011, 2012, 2013, 2014, 2015)
 
 _SEPARATION_WORDS = 150  # keeps chunks outside each other's support windows
 _WRAP_WIDTH = 12  # words per line in the written text files
@@ -55,7 +57,6 @@ class DocPlan:
     paper_id: str
     journal: str
     year: int
-    words: int
     exact: tuple[str, ...]
     typo: tuple[str, ...]
     negated: tuple[str, ...]
@@ -76,13 +77,13 @@ def strip_markers(raw_line: str) -> str:
     return raw_line.replace("[[[", "").replace("]]]", "").replace("__", "")
 
 
-def fuzzy_terms(spec: AnalyzerSpec, min_len: int) -> list[str]:
-    terms: list[str] = []
-    for ex in spec.positives:
-        for t in spec.candidate_terms(ex):
-            if len(t) >= min_len and t not in terms:
-                terms.append(t)
-    return terms
+def fuzzy_terms(spec: AnalyzerSpec, bundle: Bundle) -> list[str]:
+    """The positive terms of `spec`, a classifier of `bundle`, that have an
+    edit budget: those its classification scanner lays out with a start
+    piece (a < b)."""
+    layouts = bundle.classification_scanner.layouts
+    terms = dict.fromkeys(t for ex in spec.positives for t in spec.candidate_terms(ex))
+    return [t for t in terms if layouts[t][0] < layouts[t][1]]
 
 
 def inject_typo(term: str, rng: random.Random) -> str | None:
@@ -128,7 +129,7 @@ def _mini_doc_verdict(chunk: str, spec: AnalyzerSpec, bundle: Bundle, rng: rando
 
 
 def _pick_typo_chunk(spec: AnalyzerSpec, bundle: Bundle, rng: random.Random) -> str | None:
-    terms = fuzzy_terms(spec, bundle.match.fuzzy_min_len)
+    terms = fuzzy_terms(spec, bundle)
     if not terms:
         return None
     for _ in range(20):
@@ -165,21 +166,18 @@ def generate_corpus(
     n_docs: int = 200,
     words_per_doc: int = 6000,
     seed: int = 20240601,
-    config: MatchConfig | None = None,
-    journals: tuple[str, ...] = ("JA", "JB", "JC", "JD", "JE"),
-    years: tuple[int, ...] = (2011, 2012, 2013, 2014, 2015),
 ) -> SyntheticCorpus:
     """Write a labelled corpus under out_dir: docs/, manifest.csv, truth.csv,
-    plantings.csv. Fully deterministic for a given bundle and seed."""
+    plantings.csv, matching with the default MatchConfig. Fully
+    deterministic for a given bundle and seed."""
     out_dir = Path(out_dir)
     docs_dir = out_dir / "docs"
     docs_dir.mkdir(parents=True, exist_ok=True)
-    config = config or MatchConfig()
     rng = random.Random(seed)
 
-    compiled = Bundle(bundle, config)
+    compiled = Bundle(bundle)
     classifiers = compiled.classifiers
-    typo_capable = [s for s in classifiers if fuzzy_terms(s, config.fuzzy_min_len)]
+    typo_capable = [s for s in classifiers if fuzzy_terms(s, compiled)]
     negation_capable = [s for s in classifiers if s.negatives]
     tags = compiled.tags
     by_name = {s.name: s for s in classifiers}
@@ -190,8 +188,8 @@ def generate_corpus(
 
     for i in range(n_docs):
         paper_id = f"synth-{i:04d}"
-        journal = rng.choice(journals)
-        year = rng.choice(years)
+        journal = rng.choice(JOURNALS)
+        year = rng.choice(YEARS)
 
         n_pos = rng.randint(0, 3)
         planted = rng.sample(classifiers, min(n_pos, len(classifiers)))
@@ -239,7 +237,6 @@ def generate_corpus(
                 paper_id=paper_id,
                 journal=journal,
                 year=year,
-                words=n_filler + chunk_words,
                 exact=tuple(sorted(n for n, _ in exact)),
                 typo=tuple(sorted(n for n, _ in typo)),
                 negated=tuple(sorted(n for n, _ in negated)),

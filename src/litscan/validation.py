@@ -3,14 +3,13 @@ a regression corpus of difficult documents, and stratified sampling for
 manual review rounds.
 """
 
-import csv
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import Bundle, CorpusResult, RunConfig, classify_paper
-from .ingest import STATUS_ANALYZED, SourceMeta, load_document, read_table, table_text
+from .ingest import STATUS_ANALYZED, SourceMeta, csv_records, load_document, read_table, table_text
 from .scoring import VERDICT_NEGATIVE, VERDICT_NONE, VERDICT_POSITIVE
 
 TRUTH_COLUMNS = ("paper_id", "tag", "label")
@@ -109,17 +108,15 @@ def confusion_csv(rows: list[ConfusionRow]) -> str:
 
 def _load_expected(path: Path) -> dict[str, str]:
     expected: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: expected `key,value` rows, got {row!r}")
-            key = row[0].strip()
-            if key in expected:
-                raise ValueError(f"{path}: line {reader.line_num}: key {key!r} is listed twice")
-            expected[key] = row[1].strip()
+    for lineno, row in csv_records(path):
+        if not row or row[0].strip().startswith("#"):
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected `key,value` rows, got {row!r}")
+        key = row[0].strip()
+        if key in expected:
+            raise ValueError(f"{path}: line {lineno}: key {key!r} is listed twice")
+        expected[key] = row[1].strip()
     return expected
 
 

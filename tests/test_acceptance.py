@@ -185,10 +185,10 @@ def test_criterion_06_fuzzy_matcher_oracle_equivalence():
     print(f"ACCEPTANCE 06 PASS: 1000/1000 oracle agreements in {elapsed:.1f}s")
 
 
-def test_criterion_07_synthetic_corpus_precision_recall(compiled, synthetic):
+def test_criterion_07_synthetic_corpus_precision_recall(compiled, synthetic, tmp_path):
     metas = load_manifest(synthetic.manifest_path)
     started = time.perf_counter()
-    rows = run_corpus(metas, compiled, RunConfig(), None, jobs=1)
+    rows = run_corpus(metas, compiled, RunConfig(), tmp_path, jobs=1)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     assert all(error is None for _, _, error in rows)

@@ -33,15 +33,16 @@ from litscan.dsl import load_bundle
 from litscan.ingest import (
     STATUS_ANALYZED,
     STATUSES,
+    Region,
     SourceMeta,
     gate_short,
     load_manifest,
     normalize,
     prefix_region,
 )
-from litscan.matching import run_analyzer, scan_pieces
+from litscan.matching import EvidenceMatch, run_analyzer, scan_pieces
 from litscan.report import _raw_span, render_report
-from litscan.scoring import VERDICTS, aggregate_tags, decide_exclusion, resolve_analyzer
+from litscan.scoring import VERDICTS, AnalyzerEvidence, aggregate_tags, decide_exclusion, resolve_analyzer
 from litscan.synthetic import FILLER_WORDS, TRAP_CHUNK, strip_markers
 from test_ingest import RAW_ALPHABET
 
@@ -121,6 +122,32 @@ def test_report_keeps_evidence_lines_whole_across_line_breaks(compiled):
     evidence = [line for line in report.splitlines() if "»" in line]
     assert evidence and all("«" in line for line in evidence)
     assert any(line.endswith("supports: [used]") for line in evidence)
+
+
+def test_report_section_lists_negative_positive_then_skipped_evidence():
+    doc = make_doc("We did not use a t-test. We used a t-test here. The unit tests ran.")
+    skip = r"[a-zA-Z]{1}t(\s+|-)test"
+    negative = EvidenceMatch(0, "negative", "t test", Region(17, 23), (("did not use", Region(3, 14)),), 1, 2)
+    positive = EvidenceMatch(0, "positive", "t test", Region(35, 41), (("used", Region(28, 32)),), 1, 2)
+    skipped = EvidenceMatch(1, "positive", "t test", Region(55, 61), (("ran", Region(63, 66)),), 1, 2, True, skip)
+    evidence = AnalyzerEvidence(
+        "students_t_test", "negative", (positive,), (negative,), (skipped,), 2, ("parametric_test",)
+    )
+    assert render_report(doc, [evidence], []).splitlines() == [
+        "paper: doc",
+        "journal: J  year: 2015",
+        "words: 17",
+        "status: analyzed",
+        "",
+        "analyzer students_t_test: negative (total score 2)",
+        "  negative evidence:",
+        "    score=2 We did not use a »t-test«. We used a t-test here. The unit tests ran. supports: [did not use]",
+        "  positive evidence:",
+        "    score=2 We did not use a t-test. We used a »t-test« here. The unit tests ran. supports: [used]",
+        "  skipped:",
+        f"    skipped by {skip}: score=2 We did not use a t-test. We used a t-test here. The uni»t test«s ran."
+        " supports: [ran]",
+    ]
 
 
 @pytest.mark.parametrize("fixture", sorted(REGRESSION_DIR.glob("*.txt")), ids=lambda p: p.stem)
@@ -297,7 +324,7 @@ def _csv_rows(path: Path) -> list[list[str]]:
 def test_run_corpus_isolates_per_paper_errors(compiled, tmp_path):
     manifest = _write_corpus(tmp_path, {"ok": "We used a Student's t-test. " + " ".join(filler(80))})
     metas = load_manifest(manifest) + [SourceMeta("missing", "J", 2011, str(tmp_path / "nope.txt"))]
-    rows = run_corpus(metas, compiled, RunConfig(short_threshold=10), None, jobs=1)
+    rows = run_corpus(metas, compiled, RunConfig(short_threshold=10), tmp_path, jobs=1)
     assert rows[0][2] is None
     assert rows[1][1] is None and "missing" in rows[1][2]
 
@@ -316,7 +343,7 @@ def test_a_run_builds_each_group_scanner_once(bundle, tmp_path, monkeypatch):
     texts = {f"p{i}": "We used a Student's t-test. " + " ".join(filler(60, seed=i)) for i in range(4)}
     metas = load_manifest(_write_corpus(tmp_path, texts))
     compiled = Bundle(bundle)
-    rows = run_corpus(metas, compiled, RunConfig(short_threshold=10), None, jobs=1)
+    rows = run_corpus(metas, compiled, RunConfig(short_threshold=10), tmp_path, jobs=1)
     assert [result.status for _, result, _ in rows] == ["analyzed"] * 4
     assert builds == [{t for s in group for t in s.terms} for group in (compiled.excluders, compiled.classifiers)]
 
@@ -563,9 +590,9 @@ def test_pool_has_no_more_workers_than_chunks(compiled, tmp_path, monkeypatch):
     assert all(result is not None and error is None for _, result, error in rows)
     assert sorted(p.name for p in tmp_path.glob("p*.txt")) == ["p0.txt", "p1.txt", "p2.txt"]
 
-    assert run_corpus([], compiled, config, None, jobs=4) == []  # an empty manifest starts no pool
-    assert len(run_corpus(metas[:1], compiled, config, None, jobs=4)) == 1  # one chunk runs here
-    assert len(run_corpus(metas, compiled, config, None, jobs=1)) == 3
+    assert run_corpus([], compiled, config, tmp_path, jobs=4) == []  # an empty manifest starts no pool
+    assert len(run_corpus(metas[:1], compiled, config, tmp_path, jobs=4)) == 1  # one chunk runs here
+    assert len(run_corpus(metas, compiled, config, tmp_path, jobs=1)) == 3
     assert calls == [(3, 1)]
 
 

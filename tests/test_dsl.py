@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import ANALYZER_DIR, make_doc, scan_alone, serialize_analyzer, skip_token
+from litscan.cli import main
 from litscan.dsl import (
     AnalyzerParseError,
     AnalyzerSpec,
@@ -226,6 +227,23 @@ def test_load_bundle_aggregates_parse_errors(tmp_path):
         load_bundle(tmp_path)
     msg = str(err.value)
     assert "a.analyzer" in msg and "b.analyzer" in msg
+
+
+def test_load_bundle_accepts_a_byte_order_mark(tmp_path):
+    text = "analyzer: a\ntags: t\n[positive]\na [[[b]]]\n"
+    (tmp_path / "a.analyzer").write_text("\ufeff" + text, encoding="utf-8")
+    assert load_bundle(tmp_path) == [parse_analyzer(text, "a.analyzer")]
+
+
+def test_load_bundle_lists_an_undecodable_file_as_unreadable(tmp_path, capsys):
+    (tmp_path / "a.analyzer").write_bytes(b"analyzer: a\ntags: t\n[positive]\na [[[b\xff]]]\n")
+    (tmp_path / "b.analyzer").write_text("tags: t\n[positive]\na [[[b]]]\n")
+    with pytest.raises(BundleError) as err:
+        load_bundle(tmp_path)
+    msg = str(err.value)
+    assert "a.analyzer: unreadable ('utf-8' codec can't decode byte 0xff" in msg and "b.analyzer: line" in msg
+    assert main(["check-analyzers", "--analyzers", str(tmp_path)]) == 1
+    assert "a.analyzer: unreadable" in capsys.readouterr().err
 
 
 def test_load_bundle_requires_files(tmp_path):

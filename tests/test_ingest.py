@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import filler, make_doc
+from conftest import ANALYZER_DIR, filler, make_doc
+from litscan.cli import main
 from litscan.ingest import (
     _OTHER_SPACES,
     MANIFEST_COLUMNS,
@@ -314,6 +315,27 @@ def test_load_manifest_numbers_file_lines_after_a_multiline_cell(tmp_path):
     with pytest.raises(ValueError) as err:
         load_manifest(manifest)
     assert "line 4: year '20x0' is not an integer" in str(err.value)
+
+
+def test_load_manifest_accepts_a_byte_order_mark(tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\ufeffpaper_id,journal,year,path\np1,EMSE,2015,/p1.txt\n", encoding="utf-8")
+    assert load_manifest(manifest) == [SourceMeta("p1", "EMSE", 2015, "/p1.txt")]
+
+
+def test_load_manifest_names_the_file_it_cannot_decode_or_split(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"paper_id,journal,year,path\np1,EMSE\xff,2015,a.txt\n")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    assert str(err.value).startswith(f"{manifest}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+    assert main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: not UTF-8 text")
+    manifest.write_text("paper_id,journal,year,path\np1,EMSE,2015,a.txt\np2,EMSE,2015," + "x" * 140_000 + "\n")
+    with pytest.raises(ValueError) as err:
+        load_manifest(manifest)
+    assert str(err.value).startswith(f"{manifest}: line 3: field larger than field limit")
 
 
 # a non-empty table cell without edge whitespace (loaders strip cells),

@@ -83,8 +83,8 @@ def test_inject_typo_produces_normalized_distance_one():
             assert normalize(variant)[0] == variant  # already in normalized form
 
 
-def test_fuzzy_terms_only_long_ones(by_name, match_config):
-    terms = fuzzy_terms(by_name["students_t_test"], match_config.fuzzy_min_len)
+def test_fuzzy_terms_only_long_ones(by_name, compiled):
+    terms = fuzzy_terms(by_name["students_t_test"], compiled)
     assert "t test" not in terms
     assert "students t test" in terms
 

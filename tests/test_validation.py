@@ -158,6 +158,24 @@ def test_validate_command_reports_a_bad_truth_file(tmp_path, capsys):
     assert "missing columns" in capsys.readouterr().err
 
 
+def test_load_truth_accepts_a_byte_order_mark(tmp_path):
+    truth = tmp_path / "truth.csv"
+    truth.write_text("\ufeffpaper_id,tag,label\np1,t,present\n", encoding="utf-8")
+    assert load_truth(truth) == [GroundTruth("p1", "t", "present")]
+
+
+def test_load_truth_names_the_file_it_cannot_decode_or_split(tmp_path):
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(b"paper_id,tag,label\np1,t\xff,present\n")
+    with pytest.raises(ValueError) as err:
+        load_truth(truth)
+    assert str(err.value).startswith(f"{truth}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+    truth.write_text("paper_id,tag,label\np1,t," + "x" * 140_000 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_truth(truth)
+    assert str(err.value).startswith(f"{truth}: line 2: field larger than field limit")
+
+
 def test_regression_fixtures_pass(compiled):
     ok, lines = regression_check(REGRESSION_DIR, compiled)
     assert ok, "\n".join(lines)
@@ -199,6 +217,30 @@ def test_regression_rejects_a_key_listed_twice(compiled, tmp_path):
     with pytest.raises(ValueError) as err:
         regression_check(tmp_path, compiled)
     assert str(err.value) == f"{expected}: line 3: key 'parametric_test' is listed twice"
+
+
+def test_regression_reads_an_expectation_file_with_a_byte_order_mark(compiled, tmp_path):
+    (tmp_path / "bom.txt").write_text("We used a Student's t-test.", encoding="utf-8")
+    expected = "\ufeffstatus,analyzed\nparametric_test,positive\nquantitative_analysis,positive\n"
+    (tmp_path / "bom.expected.csv").write_text(expected + "statistical_test,positive\n", encoding="utf-8")
+    ok, lines = regression_check(tmp_path, compiled)
+    assert ok, "\n".join(lines)
+
+
+def test_regress_names_the_expectation_file_of_each_error(tmp_path, capsys):
+    (tmp_path / "bad.txt").write_text("We used a Student's t-test.", encoding="utf-8")
+    expected = tmp_path / "bad.expected.csv"
+    expected.write_bytes(b"parametric_test,positive\xff\n")
+    argv = ["regress", "--fixtures", str(tmp_path), "--analyzers", str(ANALYZER_DIR)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {expected}: not UTF-8 text: 'utf-8' codec can't decode")
+    expected.write_text("parametric_test," + "x" * 140_000 + "\n", encoding="utf-8")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {expected}: line 1: field larger than field limit")
+    expected.write_text("status,analyzed\nparametric_test,positive,extra\n", encoding="utf-8")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {expected}: line 2: expected `key,value` rows, got ['parametric_test', 'positive', 'extra']\n"
 
 
 def _stratified_results():
@@ -289,6 +331,28 @@ def test_results_readers_report_every_bad_line(tmp_path, capsys, command):
                        encoding="utf-8")
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["aggregate", "validate", "sample"])
+def test_results_readers_accept_a_byte_order_mark(tmp_path, capsys, command):
+    results, argv = _results_reader(tmp_path, command)
+    results.write_text("\ufeffpaper_id,journal,year,words,status,t\np1,J,2010,5000,analyzed,positive\n",
+                       encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["aggregate", "validate", "sample"])
+def test_results_readers_name_a_file_they_cannot_decode_or_split(tmp_path, capsys, command):
+    results, argv = _results_reader(tmp_path, command)
+    results.write_bytes(b"paper_id,journal,year,words,status,t\np1,J\xff,2010,5000,analyzed,positive\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {results}: not UTF-8 text: 'utf-8' codec can't decode")
+    results.write_text("paper_id,journal,year,words,status,t\np1,J,2010,5000,analyzed," + "x" * 140_000 + "\n",
+                       encoding="utf-8")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {results}: line 2: field larger than field limit (131072)\n"
 
 
 @pytest.mark.parametrize("command", ["aggregate", "validate", "sample"])
