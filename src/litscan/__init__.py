@@ -1,33 +1,3 @@
 """litscan: rule-driven evidence scanning for full-text research papers."""
 
-from .dsl import AnalyzerSpec, ExampleTemplate, SkipMatcher, load_bundle, parse_analyzer
-from .ingest import DocumentText, Region, SourceMeta, gate_short, make_document, normalize, prefix_region
-from .matching import EvidenceMatch, MatchConfig, find_supports, find_term, run_analyzer
-from .scoring import AnalyzerEvidence, TagSummary, aggregate_tags, decide_exclusion, resolve_analyzer
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyzerEvidence",
-    "AnalyzerSpec",
-    "DocumentText",
-    "EvidenceMatch",
-    "ExampleTemplate",
-    "MatchConfig",
-    "Region",
-    "SkipMatcher",
-    "SourceMeta",
-    "TagSummary",
-    "aggregate_tags",
-    "decide_exclusion",
-    "find_supports",
-    "find_term",
-    "gate_short",
-    "load_bundle",
-    "make_document",
-    "normalize",
-    "parse_analyzer",
-    "prefix_region",
-    "resolve_analyzer",
-    "run_analyzer",
-]

@@ -20,6 +20,16 @@ import logging
 import sys
 from pathlib import Path
 
+# matching first: compiling it from source is the largest allocation of the
+# import, and with fewer modules resident at that point a run without a
+# bytecode cache peaks 0.25-0.7 MB lower in RSS
+from .matching import (
+    DEFAULT_FUZZY_MIN_LEN,
+    DEFAULT_MAX_EDITS,
+    DEFAULT_SKIP_WINDOW,
+    DEFAULT_SUPPORT_WINDOW,
+    MatchConfig,
+)
 from .corpus import (
     Bundle,
     CorpusResult,
@@ -33,13 +43,6 @@ from .corpus import (
 )
 from .dsl import AnalyzerParseError, BundleError, load_bundle
 from .ingest import DEFAULT_SHORT_THRESHOLD, SourceMeta, load_document, load_manifest, table_text
-from .matching import (
-    DEFAULT_FUZZY_MIN_LEN,
-    DEFAULT_MAX_EDITS,
-    DEFAULT_SKIP_WINDOW,
-    DEFAULT_SUPPORT_WINDOW,
-    MatchConfig,
-)
 
 log = logging.getLogger("litscan")
 

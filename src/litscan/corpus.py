@@ -17,6 +17,7 @@ from pathlib import Path
 from .dsl import AnalyzerSpec
 from .ingest import (
     DEFAULT_SHORT_THRESHOLD,
+    RESULT_COLUMNS,
     STATUS_ANALYZED,
     STATUS_EXCLUDED_SECONDARY,
     STATUSES,
@@ -73,6 +74,10 @@ class Bundle:
 class RunConfig:
     short_threshold: int = DEFAULT_SHORT_THRESHOLD
     converter: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.converter is not None and "{input}" not in self.converter:
+            raise ValueError(f"--converter must contain {{input}}, got {self.converter!r}")
 
 
 @dataclass(frozen=True)
@@ -191,10 +196,6 @@ def run_corpus(
         ) as pool:
             rows = list(pool.map(_worker, metas, chunksize=size))
     return [(meta, result, error) for meta, (result, error) in zip(metas, rows)]
-
-
-# the leading results.csv columns; one verdict column per tag follows
-RESULT_COLUMNS = ("paper_id", "journal", "year", "words", "status")
 
 
 def emit_csv(results: list[CorpusResult], tags: Sequence[str]) -> str:

@@ -23,14 +23,15 @@ In example lines the [[[ ]]] markers enclose the primary match target and
 each __ __ pair encloses one supporting phrase. Lines whose first non-space
 character is '#' are comments, except #RegexpMatcher(...)# tokens inside the
 [skip] section. Synonym lists may wrap across lines. Each header key may
-be given once.
+be given once. A tag may not be named like a results.csv column, and a
+skip pattern may not match the empty string.
 """
 
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ingest import normalize
+from .ingest import RESULT_COLUMNS, normalize
 
 _SECTION_NAMES = ("positive", "negative", "skip", "synonyms")
 _HEADER_KEYS = ("analyzer", "tags", "region", "mode")
@@ -121,9 +122,13 @@ def parse_skip_matcher(token: str) -> SkipMatcher:
     if m is None:
         raise ValueError(f"malformed skip matcher: {token!r}")
     try:
-        return SkipMatcher(pattern=m.group(1), case_insensitive="i" in m.group(2))
+        skip = SkipMatcher(pattern=m.group(1), case_insensitive="i" in m.group(2))
     except re.error as exc:
         raise ValueError(f"skip matcher pattern does not compile: {exc}") from exc
+    if skip.compiled.match(""):
+        # an empty match inside a span would cancel every match it falls in
+        raise ValueError(f"skip matcher pattern matches the empty string: {skip.pattern!r}")
+    return skip
 
 
 def _parse_example(line: str, polarity: str) -> ExampleTemplate:
@@ -212,6 +217,9 @@ def parse_analyzer(source: str, source_name: str = "<string>") -> AnalyzerSpec:
                 bad = [t for t in tags if not _IDENT_RE.match(t)]
                 if bad:
                     errors.append((lineno, f"invalid tag identifiers: {bad}"))
+                reserved = [t for t in tags if t in RESULT_COLUMNS]
+                if reserved:
+                    errors.append((lineno, f"tags name results.csv columns: {reserved}"))
             elif key == "mode":
                 if value not in ("classify", "exclude"):
                     errors.append((lineno, f"mode must be classify or exclude, got {value!r}"))

@@ -28,6 +28,9 @@ STATUS_ANALYZED = "analyzed"
 STATUS_SKIPPED_SHORT = "skipped_short"
 STATUS_EXCLUDED_SECONDARY = "excluded_secondary"
 STATUSES = (STATUS_ANALYZED, STATUS_SKIPPED_SHORT, STATUS_EXCLUDED_SECONDARY)
+# the leading results.csv columns; one verdict column per tag follows, so no
+# classification tag may take one of these names
+RESULT_COLUMNS = ("paper_id", "journal", "year", "words", "status")
 
 DEFAULT_SHORT_THRESHOLD = 4000
 CONVERTER_TIMEOUT = 300  # seconds a converter may run on one paper
@@ -313,16 +316,17 @@ def load_manifest(path: str | Path) -> list[SourceMeta]:
 def read_raw_text(meta: SourceMeta, converter: str | None = None) -> str:
     """Fetch a paper's raw text, optionally through an external converter
     command template with an {input} placeholder (stdout is taken as the
-    text). A converter still running after CONVERTER_TIMEOUT seconds is
-    killed (TimeoutExpired); a non-zero exit raises RuntimeError with the
-    exit status and the last line of the converter's stderr."""
+    text, and stdin is empty). A converter still running after
+    CONVERTER_TIMEOUT seconds is killed (TimeoutExpired); a non-zero exit
+    raises RuntimeError with the exit status and the last line of the
+    converter's stderr."""
     if converter is None:
         return Path(meta.path).read_text(encoding="utf-8", errors="replace")
     import shlex  # only here: most runs convert nothing, and these imports cost startup
     import subprocess
 
     argv = [tok.replace("{input}", meta.path) for tok in shlex.split(converter)]
-    proc = subprocess.run(argv, capture_output=True, timeout=CONVERTER_TIMEOUT)
+    proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, timeout=CONVERTER_TIMEOUT)
     if proc.returncode:
         last = proc.stderr.decode("utf-8", errors="replace").strip().rpartition("\n")[2]
         raise RuntimeError(f"converter {argv[0]!r} exited with status {proc.returncode}: {last}")

@@ -91,17 +91,23 @@ class MatchConfig:
 
 @dataclass(frozen=True)
 class EvidenceMatch:
-    """A located primary match with its supporting matches and skip status."""
+    """A located primary match with its supporting matches and the skip
+    pattern that cancelled it, if one did."""
 
     example_index: int
     polarity: str
     matched_term: str
     span: Region
     matched_supports: tuple[tuple[str, Region], ...]
-    supports_total: int
-    score: int
-    skipped: bool = False
     skipped_by: str | None = None
+
+    @property
+    def score(self) -> int:
+        return 1 + len(self.matched_supports)
+
+    @property
+    def skipped(self) -> bool:
+        return self.skipped_by is not None
 
 
 def _one_edit_distance(a: str, b: str) -> int:
@@ -435,7 +441,7 @@ def apply_skips(
     """Mark positive matches whose neighbourhood triggers a skip regex.
 
     Each skip pattern is evaluated against the window span +/- skip_window;
-    a regex hit overlapping the primary span flips `skipped` to true.
+    a regex hit overlapping the primary span sets `skipped_by` to its pattern.
     Negative matches are never skipped. Idempotent; never adds, removes, or
     reorders matches.
     """
@@ -455,7 +461,7 @@ def apply_skips(
                     break
             if hit:
                 break
-        out.append(replace(m, skipped=True, skipped_by=hit) if hit else m)
+        out.append(replace(m, skipped_by=hit) if hit else m)
     return out
 
 
@@ -533,20 +539,9 @@ def run_analyzer(
             ]
             for span, term in sorted(kept):
                 found = find_supports(text, span, example.normalized_supports, config.support_window)
-                total = len(example.normalized_supports)
-                if polarity == NEGATIVE and len(found) < total:
+                if polarity == NEGATIVE and len(found) < len(example.normalized_supports):
                     continue  # unconfirmed negative evidence is discarded
-                matches.append(
-                    EvidenceMatch(
-                        example_index=idx,
-                        polarity=polarity,
-                        matched_term=term,
-                        span=span,
-                        matched_supports=tuple(found),
-                        supports_total=total,
-                        score=1 + len(found),
-                    )
-                )
+                matches.append(EvidenceMatch(idx, polarity, term, span, tuple(found)))
     matches = apply_skips(matches, spec.skips, text, config.skip_window)
     matches.sort(key=lambda m: (_polarity_key(m.polarity), m.span.start, m.example_index))
     return matches

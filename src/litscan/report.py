@@ -74,7 +74,7 @@ def render_report(
         for s in summaries:
             lines.append(
                 f"  {s.tag.ljust(width)}  {s.verdict:<8}  "
-                f"positive={len(s.positive_analyzers)} negative={len(s.negative_analyzers)}"
+                f"positive={s.positives} negative={s.negatives}"
             )
 
     for ev in evidences:

@@ -21,25 +21,37 @@ VERDICTS = (VERDICT_POSITIVE, VERDICT_NEGATIVE, VERDICT_NONE)
 @dataclass(frozen=True)
 class AnalyzerEvidence:
     analyzer: str
-    verdict: str
     positive_matches: tuple[EvidenceMatch, ...]  # unskipped only
     negative_matches: tuple[EvidenceMatch, ...]  # confirmed only
     skipped_matches: tuple[EvidenceMatch, ...]
-    total_score: int
     tags: tuple[str, ...]
+
+    @property
+    def verdict(self) -> str:
+        if self.negative_matches:
+            return VERDICT_NEGATIVE
+        if self.positive_matches:
+            return VERDICT_POSITIVE
+        return VERDICT_NONE
+
+    @property
+    def total_score(self) -> int:
+        return sum(m.score for m in self.positive_matches)
 
 
 @dataclass(frozen=True)
 class TagSummary:
+    """One tag's count of positive and of negative analyzers."""
+
     tag: str
-    positive_analyzers: tuple[str, ...]
-    negative_analyzers: tuple[str, ...]
+    positives: int
+    negatives: int
 
     @property
     def verdict(self) -> str:
-        if self.positive_analyzers:
+        if self.positives:
             return VERDICT_POSITIVE
-        if self.negative_analyzers:
+        if self.negatives:
             return VERDICT_NEGATIVE
         return VERDICT_NONE
 
@@ -52,22 +64,11 @@ def match_order(m: EvidenceMatch) -> tuple:
 def resolve_analyzer(matches: list[EvidenceMatch], spec: AnalyzerSpec) -> AnalyzerEvidence:
     """One analyzer's verdict and its evidence, each kind in `match_order`."""
     ordered = sorted(matches, key=match_order)
-    positives = [m for m in ordered if m.polarity == POSITIVE and not m.skipped]
-    negatives = [m for m in ordered if m.polarity == NEGATIVE]
-    skipped = [m for m in ordered if m.polarity == POSITIVE and m.skipped]
-    if negatives:
-        verdict = VERDICT_NEGATIVE
-    elif positives:
-        verdict = VERDICT_POSITIVE
-    else:
-        verdict = VERDICT_NONE
     return AnalyzerEvidence(
         analyzer=spec.name,
-        verdict=verdict,
-        positive_matches=tuple(positives),
-        negative_matches=tuple(negatives),
-        skipped_matches=tuple(skipped),
-        total_score=sum(m.score for m in positives),
+        positive_matches=tuple(m for m in ordered if m.polarity == POSITIVE and not m.skipped),
+        negative_matches=tuple(m for m in ordered if m.polarity == NEGATIVE),
+        skipped_matches=tuple(m for m in ordered if m.polarity == POSITIVE and m.skipped),
         tags=tuple(spec.tags),
     )
 
@@ -75,12 +76,15 @@ def resolve_analyzer(matches: list[EvidenceMatch], spec: AnalyzerSpec) -> Analyz
 def aggregate_tags(evidences: list[AnalyzerEvidence], tags: tuple[str, ...]) -> list[TagSummary]:
     """Fold analyzer verdicts into one summary per tag of `tags`, in that
     order; a tag that no evidence carries gets verdict none."""
-    out = []
-    for tag in tags:
-        pos = sorted(ev.analyzer for ev in evidences if tag in ev.tags and ev.verdict == VERDICT_POSITIVE)
-        neg = sorted(ev.analyzer for ev in evidences if tag in ev.tags and ev.verdict == VERDICT_NEGATIVE)
-        out.append(TagSummary(tag=tag, positive_analyzers=tuple(pos), negative_analyzers=tuple(neg)))
-    return out
+    verdicts = [(ev.tags, ev.verdict) for ev in evidences]
+    return [
+        TagSummary(
+            tag,
+            sum(tag in t and v == VERDICT_POSITIVE for t, v in verdicts),
+            sum(tag in t and v == VERDICT_NEGATIVE for t, v in verdicts),
+        )
+        for tag in tags
+    ]
 
 
 def decide_exclusion(evidences: list[AnalyzerEvidence]) -> bool:

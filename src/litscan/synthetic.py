@@ -69,7 +69,6 @@ class SyntheticCorpus:
     manifest_path: Path
     truth_path: Path
     plans: tuple[DocPlan, ...]
-    tags: tuple[str, ...]
 
 
 def strip_markers(raw_line: str) -> str:
@@ -259,5 +258,4 @@ def generate_corpus(
         manifest_path=manifest_path,
         truth_path=truth_path,
         plans=tuple(plans),
-        tags=tags,
     )

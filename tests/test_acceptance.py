@@ -67,7 +67,7 @@ def test_criterion_01_three_analyzer_tag_aggregation(compiled, by_name, match_co
         for spec in compiled.classifiers
     ]
     counts = {
-        s.tag: (len(s.positive_analyzers), len(s.negative_analyzers))
+        s.tag: (s.positives, s.negatives)
         for s in aggregate_tags(classify_evidence, compiled.tags)
     }
     assert counts["quantitative_analysis"] == (2, 1)

@@ -127,12 +127,10 @@ def test_report_keeps_evidence_lines_whole_across_line_breaks(compiled):
 def test_report_section_lists_negative_positive_then_skipped_evidence():
     doc = make_doc("We did not use a t-test. We used a t-test here. The unit tests ran.")
     skip = r"[a-zA-Z]{1}t(\s+|-)test"
-    negative = EvidenceMatch(0, "negative", "t test", Region(17, 23), (("did not use", Region(3, 14)),), 1, 2)
-    positive = EvidenceMatch(0, "positive", "t test", Region(35, 41), (("used", Region(28, 32)),), 1, 2)
-    skipped = EvidenceMatch(1, "positive", "t test", Region(55, 61), (("ran", Region(63, 66)),), 1, 2, True, skip)
-    evidence = AnalyzerEvidence(
-        "students_t_test", "negative", (positive,), (negative,), (skipped,), 2, ("parametric_test",)
-    )
+    negative = EvidenceMatch(0, "negative", "t test", Region(17, 23), (("did not use", Region(3, 14)),))
+    positive = EvidenceMatch(0, "positive", "t test", Region(35, 41), (("used", Region(28, 32)),))
+    skipped = EvidenceMatch(1, "positive", "t test", Region(55, 61), (("ran", Region(63, 66)),), skip)
+    evidence = AnalyzerEvidence("students_t_test", (positive,), (negative,), (skipped,), ("parametric_test",))
     assert render_report(doc, [evidence], []).splitlines() == [
         "paper: doc",
         "journal: J  year: 2015",
@@ -446,6 +444,38 @@ def test_cli_converter_template(tmp_path):
     assert rows[1][4] == "analyzed"
 
 
+def test_cli_converter_gets_an_empty_stdin(tmp_path):
+    # a converter that reads stdin gets end-of-file at once, not litscan's own stdin
+    manifest = _write_corpus(tmp_path, {"c": "We used a Student's t-test today. " + " ".join(filler(60))})
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(corpus.__file__).parents[1])}
+    argv = [sys.executable, "-m", "litscan", "classify", "--manifest", str(manifest),
+            "--analyzers", str(ANALYZER_DIR), "--out", str(out), "--short-threshold", "0",
+            "--converter", "sh -c 'cat >/dev/null; cat {input}'"]
+    proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, env=env)
+    try:
+        assert proc.wait(timeout=60) == 0  # stdin stays open until the run ends
+    finally:
+        proc.kill()
+        proc.stdin.close()
+        proc.wait()
+    assert _csv_rows(out / "results.csv")[1][4] == "analyzed"
+
+
+@pytest.mark.parametrize("command", ["classify", "report"])
+def test_cli_rejects_a_converter_without_input(command, tmp_path, capsys):
+    manifest = _write_corpus(tmp_path, {"a": " ".join(filler(60))})
+    out = tmp_path / "out"
+    if command == "classify":
+        args = ["classify", "--manifest", str(manifest), "--out", str(out)]
+    else:
+        args = ["report", str(tmp_path / "docs" / "a.txt")]
+    assert main(args + ["--analyzers", str(ANALYZER_DIR), "--converter", "cat"]) == 1
+    assert "error: --converter must contain {input}, got 'cat'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_importing_the_cli_loads_neither_subprocess_nor_validation():
     # a classify run converts nothing and validates nothing, and each import costs its startup
     code = "import sys, litscan.cli; print(sorted({'subprocess', 'litscan.validation'} & set(sys.modules)))"
@@ -620,7 +650,7 @@ def test_cli_converter_timeout_fails_only_its_paper(tmp_path, monkeypatch):
     out = tmp_path / "out"
     started = time.perf_counter()
     rc = main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
-               "--out", str(out), "--converter", "sleep 5"])
+               "--out", str(out), "--converter", "sh -c 'sleep 5' {input}"])
     assert time.perf_counter() - started < 4.0  # the converter was killed, not waited for
     assert rc == 2
     errors = _csv_rows(out / "errors.csv")
@@ -639,7 +669,7 @@ def test_cli_failing_rerun_removes_the_papers_stale_report(jobs, tmp_path):
             "--out", str(out), "--short-threshold", "50", "--jobs", jobs]
     assert main(args) == 0
     assert (out / "reports" / "a.txt").is_file() and (out / "reports" / "b.txt").is_file()
-    assert main(args + ["--converter", "sh -c 'echo boom >&2; exit 3'"]) == 2
+    assert main(args + ["--converter", "sh -c 'echo boom >&2; exit 3' {input}"]) == 2
     errors = _csv_rows(out / "errors.csv")
     assert [e[0] for e in errors[1:]] == ["a", "b"]
     assert all("exited with status 3: boom" in e[1] for e in errors[1:])
@@ -649,19 +679,21 @@ def test_cli_failing_rerun_removes_the_papers_stale_report(jobs, tmp_path):
 def test_converter_error_names_its_status_and_last_stderr_line(tmp_path):
     meta = SourceMeta("p", "J", 2011, str(tmp_path / "p.txt"))
     with pytest.raises(RuntimeError, match=r"exited with status 1: last �$"):
-        ingest.read_raw_text(meta, "sh -c 'printf \"first\\nlast \\377\\n\" >&2; exit 1'")
+        ingest.read_raw_text(meta, "sh -c 'printf \"first\\nlast \\377\\n\" >&2; exit 1' {input}")
     (tmp_path / "p.txt").write_text("text", encoding="utf-8")
     assert ingest.read_raw_text(meta, "cat {input}") == "text"
 
 
-def test_cli_unwritable_report_costs_only_its_paper(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_unwritable_report_costs_only_its_paper(jobs, tmp_path):
+    # three papers, so that --jobs 2 writes their reports in pool workers
     texts = {pid: f"We used a Student's t-test in {pid}. " + " ".join(filler(90, seed=i))
              for i, pid in enumerate(("a", "b", "c"))}
     manifest = _write_corpus(tmp_path, texts)
     out = tmp_path / "out"
     (out / "reports" / "b.txt").mkdir(parents=True)
     rc = main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
-               "--out", str(out), "--short-threshold", "50"])
+               "--out", str(out), "--short-threshold", "50", "--jobs", jobs])
     assert rc == 2
     rows = _csv_rows(out / "results.csv")
     assert [r[0] for r in rows[1:]] == ["a", "c"]

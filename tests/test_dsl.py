@@ -1,3 +1,6 @@
+import re
+import shutil
+
 import pytest
 
 from conftest import ANALYZER_DIR, make_doc, scan_alone, serialize_analyzer, skip_token
@@ -13,7 +16,7 @@ from litscan.dsl import (
     parse_skip_matcher,
 )
 from litscan.ingest import Region
-from litscan.matching import EvidenceMatch, apply_skips, run_analyzer
+from litscan.matching import EvidenceMatch, MatchConfig, apply_skips, run_analyzer
 
 TTEST_SOURCE = (ANALYZER_DIR / "students_t_test.analyzer").read_text(encoding="utf-8")
 
@@ -102,7 +105,7 @@ def test_a_directly_built_skip_matcher_equals_the_parsed_one():
     built = SkipMatcher(r"[a-zA-Z]{1}t(\s+|-)test", True)
     assert built == parse_skip_matcher(token) and skip_token(built) == token
     text = "several unit tests were written"
-    match = EvidenceMatch(0, "positive", "t test", Region(11, 17), (), 0, 1)
+    match = EvidenceMatch(0, "positive", "t test", Region(11, 17), ())
     (out,) = apply_skips([match], (built,), text)
     assert out.skipped and apply_skips([match], (parse_skip_matcher(token),), text) == [out]
 
@@ -141,6 +144,41 @@ def test_missing_header_and_unknown_section():
 
 def test_classify_mode_requires_tags():
     _expect_error("analyzer: x\n[positive]\na [[[b]]]\n", "tags must be non-empty")
+
+
+@pytest.mark.parametrize("column", ["paper_id", "journal", "year", "words", "status"])
+def test_a_tag_named_like_a_results_column_is_an_error(column):
+    # results.csv would carry the column twice, and no reader of it would accept that
+    _expect_error(f"analyzer: x\ntags: t, {column}\n[positive]\na [[[b]]]\n",
+                  f"line 2: tags name results.csv columns: ['{column}']")
+
+
+def test_a_tag_named_like_a_results_column_fails_the_bundle(tmp_path, capsys):
+    bundle = tmp_path / "analyzers"
+    shutil.copytree(ANALYZER_DIR, bundle)
+    anova = bundle / "anova.analyzer"
+    anova.write_text(re.sub(r"(?m)^tags: .*$", "tags: year", anova.read_text(encoding="utf-8")), encoding="utf-8")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("paper_id,journal,year,path\np,J,2011,p.txt\n", encoding="utf-8")
+    out = tmp_path / "out"
+    for args in (["check-analyzers"], ["classify", "--manifest", str(manifest), "--out", str(out)]):
+        assert main(args + ["--analyzers", str(bundle)]) == 1
+        assert "anova.analyzer: line 2: tags name results.csv columns: ['year']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_skip_pattern_that_matches_the_empty_string_is_an_error():
+    # its empty matches would fall inside every span and cancel it
+    with pytest.raises(ValueError, match="matches the empty string"):
+        parse_skip_matcher(r'#RegexpMatcher(r"(unit )?")#')
+    source = TTEST_SOURCE.replace(r'#RegexpMatcher(r"[a-zA-Z]{1}t(\s+|-)test"i)#', r'#RegexpMatcher(r"(unit )?")#')
+    line = source.splitlines().index(r'#RegexpMatcher(r"(unit )?")#') + 1
+    _expect_error(source, "skip matcher pattern matches the empty string: '(unit )?'", lineno=line)
+    spec = parse_analyzer(TTEST_SOURCE)
+    doc = make_doc("We used a Student t-test here and it was fine.")
+    matches = run_analyzer(doc, spec, MatchConfig(), scan_alone(doc, spec, MatchConfig()))
+    assert matches and not any(m.skipped for m in matches)
+    assert all(m.skipped for m in apply_skips(matches, (SkipMatcher("(unit )?", False),), doc.normalized))
 
 
 def test_exclude_mode_allows_missing_tags():

@@ -587,8 +587,6 @@ def _match_at(text: str, term: str) -> EvidenceMatch:
         matched_term=term,
         span=Region(start, start + len(term)),
         matched_supports=(),
-        supports_total=0,
-        score=1,
     )
 
 
@@ -659,7 +657,7 @@ def test_negative_example_confirms(by_name, match_config):
     matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
     negatives = [m for m in matches if m.polarity == "negative"]
     assert len(negatives) == 1
-    assert len(negatives[0].matched_supports) == negatives[0].supports_total
+    assert len(negatives[0].matched_supports) == len(spec.negatives[negatives[0].example_index].normalized_supports)
 
 
 def test_empty_document_yields_nothing(by_name, match_config):

@@ -21,29 +21,26 @@ SPEC = parse_analyzer(
 )
 
 
-def _match(polarity="positive", start=0, score=1, skipped=False, supports=0, example=0):
+def _match(polarity="positive", start=0, skipped=False, supports=0, example=0):
     return EvidenceMatch(
         example_index=example,
         polarity=polarity,
         matched_term="thing",
         span=Region(start, start + 5),
         matched_supports=tuple(("s", Region(0, 1)) for _ in range(supports)),
-        supports_total=supports,
-        score=score,
-        skipped=skipped,
         skipped_by="pat" if skipped else None,
     )
 
 
 def test_confirmed_negative_overrides_positives():
-    matches = [_match(start=i, score=2) for i in (0, 10, 20)] + [_match("negative", start=30)]
+    matches = [_match(start=i, supports=1) for i in (0, 10, 20)] + [_match("negative", start=30)]
     ev = resolve_analyzer(matches, SPEC)
     assert ev.verdict == VERDICT_NEGATIVE
     assert len(ev.positive_matches) == 3 and len(ev.negative_matches) == 1
 
 
 def test_positives_alone_are_positive_with_summed_score():
-    ev = resolve_analyzer([_match(score=2), _match(start=10, score=1)], SPEC)
+    ev = resolve_analyzer([_match(supports=1), _match(start=10)], SPEC)
     assert ev.verdict == VERDICT_POSITIVE
     assert ev.total_score == 3
     assert [m.score for m in ev.positive_matches] == [2, 1]  # score-descending
@@ -56,13 +53,13 @@ def test_no_matches_is_no_evidence():
 
 
 def test_skipped_positives_are_excluded_and_score_inert():
-    live = [_match(score=3), _match(start=9, score=1)]
+    live = [_match(supports=2), _match(start=9)]
     ev = resolve_analyzer(live, SPEC)
-    toggled = [replace(live[0], skipped=True, skipped_by="p"), live[1]]
+    toggled = [replace(live[0], skipped_by="p"), live[1]]
     ev2 = resolve_analyzer(toggled, SPEC)
     assert ev2.total_score <= ev.total_score
     assert ev2.verdict == VERDICT_POSITIVE
-    all_skipped = [replace(m, skipped=True, skipped_by="p") for m in live]
+    all_skipped = [replace(m, skipped_by="p") for m in live]
     assert resolve_analyzer(all_skipped, SPEC).verdict == VERDICT_NONE
 
 
@@ -74,7 +71,7 @@ def test_skipped_positives_are_excluded_and_score_inert():
 )
 def test_verdict_trichotomy(shape):
     matches = [
-        _match(pol, start=i * 7, skipped=(skip and pol == "positive"), supports=sup, score=1 + sup)
+        _match(pol, start=i * 7, skipped=(skip and pol == "positive"), supports=sup)
         for i, (pol, skip, sup) in enumerate(shape)
     ]
     ev = resolve_analyzer(matches, SPEC)
@@ -86,7 +83,7 @@ def test_verdict_trichotomy(shape):
 
 
 def test_negative_dominance_property():
-    for base in ([], [_match(score=4)], [_match(skipped=True)]):
+    for base in ([], [_match(supports=3)], [_match(skipped=True)]):
         ev = resolve_analyzer(base + [_match("negative", start=50)], SPEC)
         assert ev.verdict == VERDICT_NEGATIVE
 
@@ -94,11 +91,9 @@ def test_negative_dominance_property():
 def _ev(name, verdict, tags):
     return AnalyzerEvidence(
         analyzer=name,
-        verdict=verdict,
-        positive_matches=(),
-        negative_matches=(),
+        positive_matches=(_match(),) if verdict == VERDICT_POSITIVE else (),
+        negative_matches=(_match("negative"),) if verdict == VERDICT_NEGATIVE else (),
         skipped_matches=(),
-        total_score=0,
         tags=tuple(tags),
     )
 
@@ -114,20 +109,20 @@ WORKED_TAGS = ("non_parametric_test", "parametric_test", "quantitative_analysis"
 def test_three_analyzer_aggregation_scenario():
     summaries = {s.tag: s for s in aggregate_tags(WORKED, WORKED_TAGS)}
     qa = summaries["quantitative_analysis"]
-    assert (len(qa.positive_analyzers), len(qa.negative_analyzers), qa.verdict) == (2, 1, VERDICT_POSITIVE)
+    assert (qa.positives, qa.negatives, qa.verdict) == (2, 1, VERDICT_POSITIVE)
     stt = summaries["statistical_test"]
-    assert (len(stt.positive_analyzers), len(stt.negative_analyzers), stt.verdict) == (1, 1, VERDICT_POSITIVE)
+    assert (stt.positives, stt.negatives, stt.verdict) == (1, 1, VERDICT_POSITIVE)
     npt = summaries["non_parametric_test"]
-    assert (len(npt.positive_analyzers), len(npt.negative_analyzers), npt.verdict) == (1, 0, VERDICT_POSITIVE)
+    assert (npt.positives, npt.negatives, npt.verdict) == (1, 0, VERDICT_POSITIVE)
     pt = summaries["parametric_test"]
-    assert (len(pt.positive_analyzers), len(pt.negative_analyzers), pt.verdict) == (0, 1, VERDICT_NEGATIVE)
+    assert (pt.positives, pt.negatives, pt.verdict) == (0, 1, VERDICT_NEGATIVE)
     assert pt.verdict == VERDICT_NEGATIVE
 
 
 def test_all_no_evidence_classifies_nothing():
     evs = [_ev("x", VERDICT_NONE, ["ta", "tb"]), _ev("y", VERDICT_NONE, ["tb"])]
     for s in aggregate_tags(evs, ("ta", "tb")):
-        assert not s.positive_analyzers and not s.negative_analyzers
+        assert not s.positives and not s.negatives
         assert s.verdict == VERDICT_NONE
 
 
