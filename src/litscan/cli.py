@@ -93,7 +93,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     for meta, result, error in rows:
         if error is not None:
             errors.append((meta.paper_id, error))
-            log.error("failed: %s", error)
             continue
         results.append(result)
 

@@ -68,7 +68,6 @@ class ExampleTemplate:
     raw_line: str
     primary: str
     supports: tuple[str, ...]
-    polarity: str  # "positive" | "negative"
     normalized_primary: str = field(init=False)
     normalized_supports: tuple[str, ...] = field(init=False)
 
@@ -131,7 +130,7 @@ def parse_skip_matcher(token: str) -> SkipMatcher:
     return skip
 
 
-def _parse_example(line: str, polarity: str) -> ExampleTemplate:
+def _parse_example(line: str) -> ExampleTemplate:
     opens = line.count("[[[")
     closes = line.count("]]]")
     if opens == 0 and closes == 0:
@@ -159,7 +158,7 @@ def _parse_example(line: str, polarity: str) -> ExampleTemplate:
         if not normalize_phrase(sup):
             raise ValueError("empty support phrase")
         supports.append(sup)
-    return ExampleTemplate(line, primary, tuple(supports), polarity)
+    return ExampleTemplate(line, primary, tuple(supports))
 
 
 def _is_comment(line: str) -> bool:
@@ -242,7 +241,7 @@ def parse_analyzer(source: str, source_name: str = "<string>") -> AnalyzerSpec:
             continue
         if section in ("positive", "negative"):
             try:
-                ex = _parse_example(line.strip(), section)
+                ex = _parse_example(line.strip())
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
             else:

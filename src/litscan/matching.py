@@ -12,10 +12,9 @@ between them (b < c). One edit, an adjacent swap included, then leaves one
 of them whole where it sits: an edit at or after b leaves term[:b] at the
 span's start, and an edit before c leaves term[c:] at its end. So each piece
 fixes where a span starts or ends, and its length is one of the term's length
-and one either side. A 2-character term has no room for a gap; its pieces
-touch, and the swap across them is a third piece. A term that gets no edit
-budget anchors on a suffix of at least MIN_PIECE characters (or on all of
-a shorter term) and is checked whole.
+and one either side. A term that gets no edit budget anchors on a suffix of
+at least MIN_PIECE characters (or on all of a shorter term) and is checked
+whole.
 
 The exact occurrences of every piece of a group of analyzers are found
 together: the pieces with the same first character are compiled once into a
@@ -142,15 +141,11 @@ def _layout(term: str, fuzzy: bool, letters: frozenset[str]) -> Layout | None:
     """The layout of the term's longest pieces that begin with one of
     `letters`, or None when no pieces do. A term with no edit budget has
     only an end piece. A fuzzy term leaves a gap (b < c), so one edit,
-    adjacent swap included, leaves one piece whole where it sits; only a
-    2-character term has touching pieces (b == c), and then the swap across
-    them is a third piece."""
+    adjacent swap included, leaves one piece whole where it sits."""
     length = len(term)
     fit = [i for i in range(length) if term[i] in letters]
     if not fuzzy:
         return next(((0, 0, c) for c in fit if c <= length - min(MIN_PIECE, length)), None)
-    if length == 2:
-        return (0, 1, 1) if len(fit) == 2 else None
     least = min(MIN_PIECE, (length - 1) // 2)
     ends = [c for c in fit if fit[0] + least < c <= length - least]
     if not ends:
@@ -163,11 +158,7 @@ def _layout(term: str, fuzzy: bool, letters: frozenset[str]) -> Layout | None:
 
 def _pieces(term: str, layout: Layout) -> tuple[str, ...]:
     a, b, c = layout
-    if a == b:
-        return (term[c:],)
-    if b < c:
-        return term[a:b], term[c:]
-    return term[a:b], term[c:], term[::-1]  # a 2-character term and its swap
+    return (term[c:],) if a == b else (term[a:b], term[c:])
 
 
 def _start_letters(terms: set[tuple[str, bool]]) -> frozenset[str]:
@@ -218,8 +209,6 @@ def _piece_tests(term: str, layout: Layout) -> list[tuple[str, str]]:
     length = len(term)
     if a == b:  # the suffix of a term with no edit budget: the whole term ends here
         return [(term[c:], f"(?<={re.escape(term[:c])}.{{{length - c}}})" if c else "")]
-    if b == c:  # a 2-character term
-        return [(piece, "") for piece in _pieces(term, layout)]
     # A start-piece hit ends at the span's start + b, and the edit lies in
     # term[b:]: for the window term[x:y + 1], term[b:x] follows the piece
     # and term[y + 1:] ends the span (the last window ends the term).
@@ -346,8 +335,9 @@ class PieceScanner:
 def group_scanner(specs: Iterable[AnalyzerSpec], config: MatchConfig) -> PieceScanner:
     """The scanner of the terms of a group of analyzers under `config`: a
     term is fuzzy when max_edits is 1 and it has at least fuzzy_min_len
-    characters, and at least 2."""
-    min_len = max(config.fuzzy_min_len, 2)
+    characters, and at least 3: a start piece, a character between the
+    pieces and an end piece."""
+    min_len = max(config.fuzzy_min_len, 3)
     return PieceScanner(
         (term, config.max_edits >= 1 and len(term) >= min_len) for spec in specs for term in spec.terms
     )
@@ -378,8 +368,7 @@ def find_term(text: str, region: Region, term: str, piece_starts: PieceStarts) -
     L + E characters long (L the term's length). A hit of the end piece
     term[c:] proposes the spans ending where it ends, at each of those
     lengths; with E = 1 a hit of the start piece term[a:b] at q also
-    proposes the spans starting at q - a, and for a 2-character term a hit
-    of the swapped term the span it covers. The scan's tests are the only
+    proposes the spans starting at q - a. The scan's tests are the only
     filter: each proposed span inside `region` is checked once in full and
     kept when its distance is at most E.
 
@@ -399,8 +388,6 @@ def find_term(text: str, region: Region, term: str, piece_starts: PieceStarts) -
     candidates = [(q + length - c - n, n) for q in piece_starts.get(term[c:], ()) for n in lengths]
     if edits:
         candidates += [(q - a, n) for q in piece_starts.get(term[a:b], ()) for n in lengths]
-        if b == c:
-            candidates += [(q, length) for q in piece_starts.get(term[::-1], ())]
     best: dict[int, tuple[int, int]] = {}  # start -> (distance, -length): closest, then longest
     for s, n in candidates:
         if lo <= s and s + n <= hi:
@@ -485,10 +472,6 @@ def _padded(outer: Region, inner: Region, exact: set[Region]) -> bool:
     )
 
 
-def _polarity_key(polarity: str) -> int:
-    return 0 if polarity == POSITIVE else 1
-
-
 def run_analyzer(
     doc: DocumentText, spec: AnalyzerSpec, config: MatchConfig, piece_starts: PieceStarts
 ) -> list[EvidenceMatch]:
@@ -510,7 +493,8 @@ def run_analyzer(
     effect size of" the match is "effect size", not "effect sizes" one edit
     from "effect size ". Positives gain supporting matches and pass through
     the skip matchers; negatives are kept only when all supports matched.
-    Output is sorted by (polarity, span start, example index).
+    Output is in the order it is built: positives then negatives, by example,
+    then by span; `scoring.resolve_analyzer` orders the evidence it reports.
     """
     region = prefix_region(doc, spec.region_fraction)
     text = doc.normalized
@@ -542,6 +526,4 @@ def run_analyzer(
                 if polarity == NEGATIVE and len(found) < len(example.normalized_supports):
                     continue  # unconfirmed negative evidence is discarded
                 matches.append(EvidenceMatch(idx, polarity, term, span, tuple(found)))
-    matches = apply_skips(matches, spec.skips, text, config.skip_window)
-    matches.sort(key=lambda m: (_polarity_key(m.polarity), m.span.start, m.example_index))
-    return matches
+    return apply_skips(matches, spec.skips, text, config.skip_window)

@@ -8,7 +8,7 @@ from .ingest import (
     raw_index,
 )
 from .matching import EvidenceMatch
-from .scoring import VERDICT_NONE, AnalyzerEvidence, TagSummary
+from .scoring import AnalyzerEvidence, TagSummary
 
 CONTEXT_CHARS = 120
 
@@ -53,8 +53,8 @@ def render_report(
     summaries: list[TagSummary],
 ) -> str:
     """Full report: metadata header, per-tag summary table, then one section
-    per analyzer that found anything, with snippets ordered by score and
-    skipped matches listed separately."""
+    per analyzer with any match, skipped ones included, with snippets
+    ordered by score and skipped matches listed separately."""
     meta = doc.meta
     lines = [
         f"paper: {meta.paper_id}",
@@ -78,15 +78,15 @@ def render_report(
             )
 
     for ev in evidences:
-        if ev.verdict == VERDICT_NONE:
-            continue
-        lines.append("")
-        lines.append(f"analyzer {ev.analyzer}: {ev.verdict} (total score {ev.total_score})")
         blocks = (
             ("negative evidence", ev.negative_matches),
             ("positive evidence", ev.positive_matches),
             ("skipped", ev.skipped_matches),
         )
+        if not any(matches for _, matches in blocks):
+            continue
+        lines.append("")
+        lines.append(f"analyzer {ev.analyzer}: {ev.verdict} (total score {ev.total_score})")
         for title, matches in blocks:
             if matches:
                 lines.append(f"  {title}:")

@@ -560,6 +560,15 @@ def test_cli_check_analyzers_and_report(capsys, tmp_path):
     assert "students_t_test" in report
 
 
+def test_report_shows_an_analyzer_whose_only_matches_were_skipped(capsys, tmp_path):
+    paper = tmp_path / "trap.txt"
+    paper.write_text("The unit tests were run on every build.", encoding="utf-8")
+    assert main(["report", str(paper), "--analyzers", str(ANALYZER_DIR), "--short-threshold", "0"]) == 0
+    report = capsys.readouterr().out
+    assert "analyzer students_t_test: none (total score 0)" in report
+    assert "\n  skipped:\n    skipped by " in report
+
+
 def test_jobs_parity_mini(tmp_path):
     texts = {
         f"p{i}": f"We used a Student's t-test in run {i}. " + " ".join(filler(90, seed=10 + i))

@@ -89,9 +89,9 @@ def test_parse_skip_matcher_rejects_malformed():
 
 def test_a_directly_built_example_equals_the_parsed_one(match_config):
     parsed = parse_analyzer(TTEST_SOURCE).positives[0]
-    built = ExampleTemplate(parsed.raw_line, parsed.primary, parsed.supports, "positive")
+    built = ExampleTemplate(parsed.raw_line, parsed.primary, parsed.supports)
     assert built == parsed
-    assert ExampleTemplate("x", "a", ("Used", "used", "'"), "positive").normalized_supports == ("used",)
+    assert ExampleTemplate("x", "a", ("Used", "used", "'")).normalized_supports == ("used",)
     spec = AnalyzerSpec("direct", (built,), (), (), (), ("t",))
     doc = make_doc("We used a Student's t-test here")
     matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))

@@ -1,6 +1,6 @@
 from dataclasses import replace
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litscan.dsl import parse_analyzer
@@ -30,6 +30,26 @@ def _match(polarity="positive", start=0, skipped=False, supports=0, example=0):
         matched_supports=tuple(("s", Region(0, 1)) for _ in range(supports)),
         skipped_by="pat" if skipped else None,
     )
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["positive", "negative"]), st.integers(0, 3), st.booleans(), st.integers(0, 2),
+            st.integers(0, 2),
+        ),
+        # as run_analyzer gives them: within one polarity, no two matches
+        # share both a span start and an example
+        unique_by=lambda key: (key[0], key[1], key[4]),
+        max_size=12,
+    ),
+    st.data(),
+)
+def test_resolve_analyzer_ignores_the_order_of_its_input(keys, data):
+    matches = [_match(*key) for key in keys]
+    shuffled = data.draw(st.permutations(matches))
+    assert resolve_analyzer(shuffled, SPEC) == resolve_analyzer(matches, SPEC)
 
 
 def test_confirmed_negative_overrides_positives():
