@@ -12,9 +12,9 @@ between them (b < c). One edit, an adjacent swap included, then leaves one
 of them whole where it sits: an edit at or after b leaves term[:b] at the
 span's start, and an edit before c leaves term[c:] at its end. So each piece
 fixes where a span starts or ends, and its length is one of the term's length
-and one either side. A term that gets no edit budget anchors on a suffix of
-at least MIN_PIECE characters (or on all of a shorter term) and is checked
-whole.
+and one either side. A term that gets no edit budget has one piece, its
+suffix from its first start letter however short, and the piece's test
+checks the whole term.
 
 The exact occurrences of every piece of a group of analyzers are found
 together: the pieces with the same first character are compiled once into a
@@ -60,8 +60,8 @@ DEFAULT_FUZZY_MIN_LEN = 8
 POSITIVE = "positive"
 NEGATIVE = "negative"
 
-# shortest piece a term anchors on where it is long enough: shorter pieces
-# hit too often, and longer ones need more start letters (4 adds s and d)
+# shortest piece a fuzzy term anchors on where it is long enough: shorter
+# pieces hit too often, and longer ones need more start letters
 MIN_PIECE = 3
 # commonest first in English text; a group's start letters drop them in this
 # order, and a character not listed is never dropped
@@ -140,12 +140,14 @@ def _one_edit_distance(a: str, b: str) -> int:
 def _layout(term: str, fuzzy: bool, letters: frozenset[str]) -> Layout | None:
     """The layout of the term's longest pieces that begin with one of
     `letters`, or None when no pieces do. A term with no edit budget has
-    only an end piece. A fuzzy term leaves a gap (b < c), so one edit,
-    adjacent swap included, leaves one piece whole where it sits."""
+    only an end piece, which starts at its first such letter wherever that
+    stands: its test checks the whole term in C, so a short piece costs no
+    Python work. A fuzzy term leaves a gap (b < c), so one edit, adjacent
+    swap included, leaves one piece whole where it sits."""
     length = len(term)
     fit = [i for i in range(length) if term[i] in letters]
     if not fuzzy:
-        return next(((0, 0, c) for c in fit if c <= length - min(MIN_PIECE, length)), None)
+        return (0, 0, fit[0]) if fit else None
     least = min(MIN_PIECE, (length - 1) // 2)
     ends = [c for c in fit if fit[0] + least < c <= length - least]
     if not ends:
@@ -348,8 +350,9 @@ def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], scanner: Piece
     can be built, in one scan of the furthest of their regions. `scanner` is
     the group's `group_scanner`; the caller builds it and keeps it for as
     long as the group and config stay the same, as `corpus.Bundle` does for
-    a run."""
-    end = max((prefix_region(doc, spec.region_fraction).end for spec in specs), default=0)
+    a run. A larger fraction never gives a shorter region, so the furthest
+    region is the one of the largest fraction."""
+    end = prefix_region(doc, max(spec.region_fraction for spec in specs)).end if specs else 0
     return scanner.scan(doc.normalized, 0, end)
 
 
@@ -496,11 +499,11 @@ def run_analyzer(
     Output is in the order it is built: positives then negatives, by example,
     then by span; `scoring.resolve_analyzer` orders the evidence it reports.
     """
-    region = prefix_region(doc, spec.region_fraction)
-    text = doc.normalized
     hit = piece_starts.hit
     if hit.isdisjoint(spec.terms):
         return []
+    region = prefix_region(doc, spec.region_fraction)
+    text = doc.normalized
     spans_of: dict[str, list[Region]] = {}
     matches: list[EvidenceMatch] = []
     for polarity, examples in ((POSITIVE, spec.positives), (NEGATIVE, spec.negatives)):

@@ -291,32 +291,55 @@ def test_shared_scan_escapes_regex_metacharacters():
 
 
 def test_scan_end_cuts_off_a_longer_piece_but_keeps_its_prefix():
-    text = "xx abcd abcd"
-    scanner = PieceScanner([("ab", False), ("abcd", False), ("bc", False)])
-    # each term anchors on its first letter, so "ab" is a prefix of "abcd"
-    assert scanner.layouts == {"ab": (0, 0, 0), "abcd": (0, 0, 0), "bc": (0, 0, 0)}
-    assert scanner.scan(text, 0, 6) == {"ab": [3], "bc": [4]}
-    assert scanner.scan(text, 0, 7) == {"ab": [3], "abcd": [3], "bc": [4]}
-    assert scanner.scan(text, 4, len(text)) == {"ab": [8], "abcd": [8], "bc": [4, 9]}
+    text = "xx zxqjv zxqjv"
+    scanner = PieceScanner([("zx", False), ("zxqjv", False), ("qj", False)])
+    # each term anchors on its first letter, so "zx" is a prefix of "zxqjv"
+    assert scanner.layouts == {"zx": (0, 0, 0), "zxqjv": (0, 0, 0), "qj": (0, 0, 0)}
+    assert scanner.scan(text, 0, 7) == {"zx": [3], "qj": [5]}
+    assert scanner.scan(text, 0, 8) == {"zx": [3], "zxqjv": [3], "qj": [5]}
+    assert scanner.scan(text, 4, len(text)) == {"zx": [9], "zxqjv": [9], "qj": [5, 11]}
     exact = MatchConfig(max_edits=0)
-    assert find_term(text, Region(0, 6), "ab", scan_alone(text, ["ab"], exact, Region(0, 6))) == [Region(3, 5)]
-    assert find_term(text, Region(0, 6), "abcd", scan_alone(text, ["abcd"], exact, Region(0, 6))) == []
+    assert find_term(text, Region(0, 7), "zx", scan_alone(text, ["zx"], exact, Region(0, 7))) == [Region(3, 5)]
+    assert find_term(text, Region(0, 7), "zxqjv", scan_alone(text, ["zxqjv"], exact, Region(0, 7))) == []
 
 
 def test_a_piece_hit_only_as_a_prefix_still_hits_its_term():
-    text = "xx abcd yy"
-    starts = PieceScanner([("ab", False), ("abcd", False)]).scan(text, 0, len(text))
+    text = "xx zxcv yy"
+    starts = PieceScanner([("zx", False), ("zxcv", False)]).scan(text, 0, len(text))
     _assert_scan_agrees_with_oracle(text, 0, len(text), starts)
-    assert starts.layouts == {"ab": (0, 0, 0), "abcd": (0, 0, 0)}
-    assert starts == {"ab": [3], "abcd": [3]}  # the regex matched only "abcd"
-    assert starts.hit == {"ab", "abcd"}
+    assert starts.layouts == {"zx": (0, 0, 0), "zxcv": (0, 0, 0)}
+    assert starts == {"zx": [3], "zxcv": [3]}  # the regex matched only "zxcv"
+    assert starts.hit == {"zx", "zxcv"}
     region = Region(0, len(text))
-    assert find_term(text, region, "ab", starts) == [Region(3, 5)]
-    assert find_term(text, region, "abcd", starts) == [Region(3, 7)]
-    spec = parse_analyzer("analyzer: nested\ntags: t\n\n[positive]\n[[[ab]]]\n[[[abcd]]]\n")
+    assert find_term(text, region, "zx", starts) == [Region(3, 5)]
+    assert find_term(text, region, "zxcv", starts) == [Region(3, 7)]
+    spec = parse_analyzer("analyzer: nested\ntags: t\n\n[positive]\n[[[zx]]]\n[[[zxcv]]]\n")
     doc = make_doc(text)
     matches = run_analyzer(doc, spec, MatchConfig(), scan_alone(doc, spec))
-    assert [(m.matched_term, m.span) for m in matches] == [("ab", Region(3, 5)), ("abcd", Region(3, 7))]
+    assert [(m.matched_term, m.span) for m in matches] == [("zx", Region(3, 5)), ("zxcv", Region(3, 7))]
+
+
+@pytest.mark.parametrize("term, layout", [("abz", (0, 0, 2)), ("abzd", (0, 0, 2))])
+def test_an_exact_term_anchored_near_its_end_is_checked_whole(term, layout):
+    # the term's only start letter is its last or second-to-last character,
+    # so its piece is one or two characters and its test checks the rest
+    scanner = PieceScanner([(term, False)])
+    assert scanner.layouts == {term: layout}
+    piece = _pieces(term, layout)[0]
+    for text in (
+        term,
+        f"{term} {term}{term}",
+        f"b{piece} ab{piece}{piece} xb{piece} a{term[1:]} {term}",
+        f"{piece}{term[:-1]}",
+    ):
+        for lo, hi in ((0, len(text)), (1, len(text)), (0, len(text) - 1)):
+            starts = scanner.scan(text, lo, hi)
+            _assert_scan_agrees_with_oracle(text, lo, hi, starts)
+            assert find_term(text, Region(lo, hi), term, starts) == oracle_find(text, Region(lo, hi), term, 0)
+    text = f"b{piece} {term} xb{piece}"
+    assert find_term(text, Region(0, len(text)), term, scanner.scan(text, 0, len(text))) == [
+        Region(len(piece) + 2, len(piece) + 2 + len(term))
+    ]
 
 
 def test_pieces_that_can_make_no_span_are_not_recorded():
@@ -375,6 +398,27 @@ def test_group_scan_is_sound_for_every_one_edit_variant_at_the_text_edges(compil
     for variant in _one_edit_variants(term):
         placed = [(left, variant + " of the data") for left in ("", "a", "a ")]
         placed += [("we ran a ", variant + " of the data"), ("we ran a ", variant)]
+        for left, right in placed:
+            text = left + right
+            starts = scanner.scan(text, 0, len(text))
+            for region in (Region(0, len(text)), Region(0, len(left) + len(variant))):
+                got = find_term(text, region, term, starts)
+                assert got == oracle_find(text, region, term, 1), (text, region)
+                if variant == term:
+                    assert Region(len(left), len(left) + len(term)) in got, (text, region)
+
+
+@pytest.mark.parametrize("term", ["t test", "f test", "ks test", "anova", "mwu", "cohen d"])
+def test_group_scan_finds_every_exact_term_whole_at_the_text_edges(compiled, term):
+    # an exact term's one piece may be short, as its test checks the whole
+    # term behind it; a term at offsets 0-2 or flush with the text end is
+    # still found whole
+    scanner = compiled.classification_scanner
+    a, b, _ = scanner.layouts[term]
+    assert a == b
+    for variant in _one_edit_variants(term):
+        placed = [(left, variant + " of the data") for left in ("", "a", "a ")]
+        placed += [("we ran a ", variant), ("", variant)]
         for left, right in placed:
             text = left + right
             starts = scanner.scan(text, 0, len(text))
