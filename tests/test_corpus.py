@@ -569,6 +569,18 @@ def test_report_shows_an_analyzer_whose_only_matches_were_skipped(capsys, tmp_pa
     assert "\n  skipped:\n    skipped by " in report
 
 
+def test_report_gives_one_line_per_occurrence(capsys, tmp_path):
+    # each of students_t_test's examples matches the one "t test"
+    paper = tmp_path / "solo.txt"
+    paper.write_text("We used a t test here.", encoding="utf-8")
+    assert main(["report", str(paper), "--analyzers", str(ANALYZER_DIR), "--short-threshold", "0"]) == 0
+    report = capsys.readouterr().out
+    assert "analyzer students_t_test: positive (total score 2)" in report
+    assert [line for line in report.splitlines() if "»t test«" in line] == [
+        "    score=2 We used a »t test« here. supports: [used]"
+    ]
+
+
 def test_jobs_parity_mini(tmp_path):
     texts = {
         f"p{i}": f"We used a Student's t-test in run {i}. " + " ".join(filler(90, seed=10 + i))

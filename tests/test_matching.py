@@ -548,6 +548,25 @@ def _bundle_vocabulary(bundle) -> list[str]:
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
+def test_one_occurrence_gives_one_piece_of_evidence(bundle, compiled, match_config, data):
+    # the examples of an analyzer share its synonyms, so run_analyzer may
+    # match one span once per example; its evidence keeps one of them
+    vocab = _bundle_vocabulary(bundle)
+    doc = make_doc(" ".join(data.draw(st.lists(st.sampled_from(vocab), max_size=60))))
+    groups = ((compiled.excluders, compiled.exclusion_scanner), (compiled.classifiers, compiled.classification_scanner))
+    for group, scanner in groups:
+        starts = scan_pieces(doc, group, scanner)
+        for spec in group:
+            matches = run_analyzer(doc, spec, match_config, starts)
+            ev = resolve_analyzer(matches, spec)
+            kinds = (ev.positive_matches, ev.negative_matches, ev.skipped_matches)
+            for kept in kinds:
+                assert len({m.span for m in kept}) == len(kept), spec.name
+            assert {(m.polarity, m.span) for kept in kinds for m in kept} == {(m.polarity, m.span) for m in matches}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
 def test_run_analyzer_on_hit_terms_equals_searching_every_term(bundle, compiled, match_config, data):
     vocab = _bundle_vocabulary(bundle)
     doc = make_doc(" ".join(data.draw(st.lists(st.sampled_from(vocab), max_size=60))))

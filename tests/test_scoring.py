@@ -13,6 +13,7 @@ from litscan.scoring import (
     AnalyzerEvidence,
     aggregate_tags,
     decide_exclusion,
+    match_order,
     resolve_analyzer,
 )
 
@@ -50,6 +51,33 @@ def test_resolve_analyzer_ignores_the_order_of_its_input(keys, data):
     matches = [_match(*key) for key in keys]
     shuffled = data.draw(st.permutations(matches))
     assert resolve_analyzer(shuffled, SPEC) == resolve_analyzer(matches, SPEC)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["positive", "negative"]), st.integers(0, 3), st.booleans(), st.integers(0, 2),
+            st.integers(0, 2),
+        ),
+        unique_by=lambda key: (key[0], key[1], key[4]),
+        max_size=12,
+    )
+)
+def test_one_span_gives_one_match_of_each_polarity(keys):
+    # skip matchers belong to the analyzer, so the matches of one span are
+    # all skipped or none are
+    skipped = {start: skip for _, start, skip, _, _ in keys}
+    matches = [_match(pol, start, skipped[start], supports, example) for pol, start, _, supports, example in keys]
+    ev = resolve_analyzer(matches, SPEC)
+    kept = ev.positive_matches + ev.negative_matches + ev.skipped_matches
+    assert len({(m.polarity, m.span) for m in kept}) == len(kept)
+    for m in kept:
+        rivals = [o for o in matches if (o.polarity, o.span) == (m.polarity, m.span)]
+        assert m == min(rivals, key=match_order)
+    negative = any(m.polarity == "negative" for m in matches)
+    positive = any(m.polarity == "positive" and not m.skipped for m in matches)
+    assert ev.verdict == (VERDICT_NEGATIVE if negative else VERDICT_POSITIVE if positive else VERDICT_NONE)
 
 
 def test_confirmed_negative_overrides_positives():
