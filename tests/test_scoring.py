@@ -65,10 +65,13 @@ def test_resolve_analyzer_ignores_the_order_of_its_input(keys, data):
     )
 )
 def test_one_span_gives_one_match_of_each_polarity(keys):
-    # skip matchers belong to the analyzer, so the matches of one span are
-    # all skipped or none are
+    # skip matchers belong to the analyzer and skip only positives, so the
+    # positives of one span are all skipped or none are
     skipped = {start: skip for _, start, skip, _, _ in keys}
-    matches = [_match(pol, start, skipped[start], supports, example) for pol, start, _, supports, example in keys]
+    matches = [
+        _match(pol, start, skipped[start] and pol == "positive", supports, example)
+        for pol, start, _, supports, example in keys
+    ]
     ev = resolve_analyzer(matches, SPEC)
     kept = ev.positive_matches + ev.negative_matches + ev.skipped_matches
     assert len({(m.polarity, m.span) for m in kept}) == len(kept)
