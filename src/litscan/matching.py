@@ -432,27 +432,32 @@ def apply_skips(
 
     Each skip pattern is evaluated against the window span +/- skip_window;
     a regex hit overlapping the primary span sets `skipped_by` to its pattern.
-    Negative matches are never skipped. Idempotent; never adds, removes, or
-    reorders matches.
+    That depends on the span alone, so each distinct span is evaluated once,
+    however many examples matched it. Negative matches are never skipped.
+    Idempotent; never adds, removes, or reorders matches.
     """
+    skipped_by: dict[Region, str | None] = {}
     out: list[EvidenceMatch] = []
     for m in matches:
         if m.polarity != POSITIVE or m.skipped:
             out.append(m)
             continue
-        lo = max(0, m.span.start - skip_window)
-        hi = min(len(text), m.span.end + skip_window)
-        window = text[lo:hi]
-        hit: str | None = None
-        for sk in skips:
-            for rm in sk.compiled.finditer(window):
-                if lo + rm.start() < m.span.end and lo + rm.end() > m.span.start:
-                    hit = sk.pattern
-                    break
-            if hit:
-                break
+        if m.span not in skipped_by:
+            skipped_by[m.span] = _skip_hit(m.span, skips, text, skip_window)
+        hit = skipped_by[m.span]
         out.append(replace(m, skipped_by=hit) if hit else m)
     return out
+
+
+def _skip_hit(span: Region, skips: tuple[SkipMatcher, ...], text: str, skip_window: int) -> str | None:
+    """The pattern of the first skip with a hit overlapping `span` in its window, or None."""
+    lo = max(0, span.start - skip_window)
+    window = text[lo : span.end + skip_window]
+    for sk in skips:
+        for rm in sk.compiled.finditer(window):
+            if lo + rm.start() < span.end and lo + rm.end() > span.start:
+                return sk.pattern
+    return None
 
 
 def _contains(outer: Region, inner: Region) -> bool:

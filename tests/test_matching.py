@@ -696,6 +696,34 @@ def test_skip_is_idempotent_and_only_flips_forward():
     assert [m.span for m in once] == [m.span for m in matches]
 
 
+class _CountingPattern:
+    """Stands in for a skip's compiled pattern and records each window it searches."""
+
+    def __init__(self, compiled):
+        self.compiled = compiled
+        self.windows: list[str] = []
+
+    def finditer(self, window):
+        self.windows.append(window)
+        return self.compiled.finditer(window)
+
+
+def test_skips_evaluate_each_distinct_span_once():
+    # three examples match the skipped span, two the kept one; a negative is never evaluated
+    text = "several unit tests were written, and then we used a t test"
+    counting = _CountingPattern(SKIP.compiled)
+    skip = parse_skip_matcher(r'#RegexpMatcher(r"[a-zA-Z]{1}t(\s+|-)test"i)#')
+    object.__setattr__(skip, "compiled", counting)
+    trap, plain = _match_at(text, "t test"), _match_at(text, "a t test")
+    plain = replace(plain, span=Region(plain.span.start + 2, plain.span.end))
+    matches = [replace(m, example_index=i) for i, m in enumerate([trap, trap, plain, trap, plain])]
+    matches.append(replace(plain, polarity="negative"))
+    out = apply_skips(matches, (skip,), text)
+    assert len(counting.windows) == 2
+    assert [m.skipped for m in out] == [True, True, False, True, False, False]
+    assert out == apply_skips(matches, (SKIP,), text)
+
+
 def test_skip_never_touches_negative_matches():
     text = "several unit tests were written"
     m = replace(_match_at(text, "t test"), polarity="negative")
