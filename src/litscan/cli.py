@@ -11,8 +11,8 @@ Subcommands:
                   short-text gate: only the matching flags apply)
   sample          stratified sample of paper ids for manual review
 
-Exit codes: 0 success, 1 parse/configuration error, 2 partial per-paper
-failures during a classify run.
+Exit codes: 0 success, 1 parse/configuration error or a classify worker
+that died, 2 partial per-paper failures during a classify run.
 """
 
 import argparse

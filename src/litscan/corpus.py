@@ -9,7 +9,6 @@ isolated so a batch run never aborts on one bad file.
 import contextlib
 import functools
 import logging
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -43,16 +42,12 @@ from .scoring import (
 
 log = logging.getLogger(__name__)
 
-# Chunks per pool worker: enough that a worker which drew slow papers does
-# not leave the others idle at the end, few enough that dispatch stays cheap.
-CHUNKS_PER_WORKER = 8
-
-
 class Bundle:
     """An analyzer bundle compiled for one run's match config: its exclusion
     and classification analyzers, in bundle order, the sorted tags of the
-    classification analyzers, and one piece scanner per group, built the
-    first time a paper needs it and kept for the rest of the run."""
+    classification analyzers, and one piece scanner per group, built once
+    and kept for the rest of the run: the first time a paper needs it, or
+    by `run_corpus` before it forks `--jobs` workers, which inherit it."""
 
     def __init__(self, specs: Iterable[AnalyzerSpec], match: MatchConfig = MatchConfig()):
         specs = tuple(specs)
@@ -153,18 +148,6 @@ def classify_file(
     return result, None
 
 
-_WORKER_ARGS: tuple[Bundle, RunConfig, Path] | None = None
-
-
-def _init_worker(bundle: Bundle, config: RunConfig, reports_dir: Path) -> None:
-    global _WORKER_ARGS
-    _WORKER_ARGS = (bundle, config, reports_dir)
-
-
-def _worker(meta: SourceMeta) -> tuple[CorpusResult | None, str | None]:
-    return classify_file(meta, *_WORKER_ARGS)
-
-
 def run_corpus(
     metas: list[SourceMeta],
     bundle: Bundle,
@@ -177,24 +160,22 @@ def run_corpus(
     manifest order, whatever `jobs` is.
 
     The process that classifies a paper writes its report, so only results
-    and errors come back, never report text. A single worker is this
-    process. Otherwise a forked pool of min(jobs, chunks) workers takes the
-    manifest in chunks of len(metas) // (jobs * CHUNKS_PER_WORKER)
-    consecutive papers, at least one, and each worker builds the bundle's
-    scanners on its first paper."""
+    and errors come back, never report text. At jobs 1, and for a manifest
+    of at most one paper, this process classifies every paper. Otherwise it
+    builds the bundle's scanners and forks min(jobs, len(metas)) workers
+    (`pool.fork_map`), which inherit them and take the papers one at a
+    time. A worker that dies, or that an exception gets past classify_file
+    in, fails the run with ChildProcessError."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    size = max(1, len(metas) // (jobs * CHUNKS_PER_WORKER))
-    workers = min(jobs, math.ceil(len(metas) / size))
+    workers = min(jobs, len(metas))
     if workers <= 1:
         rows = [classify_file(meta, bundle, config, reports_dir) for meta in metas]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # only here: its import costs startup
+        from .pool import fork_map  # only here: at --jobs 1 compiling it would only add startup time and RSS
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(bundle, config, reports_dir)
-        ) as pool:
-            rows = list(pool.map(_worker, metas, chunksize=size))
+        bundle.exclusion_scanner, bundle.classification_scanner  # built once, here: every worker inherits them
+        rows = fork_map(lambda meta: classify_file(meta, bundle, config, reports_dir), metas, workers)
     return [(meta, result, error) for meta, (result, error) in zip(metas, rows)]
 
 

@@ -293,8 +293,9 @@ class PieceScanner:
 
     Building one picks the letters and compiles the regexes, which takes
     milliseconds (tens for a large group), so a scanner is built once per
-    group and reused for every text: `corpus.Bundle` builds its two the
-    first time a paper needs them, once in each process that classifies."""
+    group and reused for every text: `corpus.Bundle` builds its two once
+    per run, the first time a paper needs them or, with `--jobs` workers,
+    before they are forked, so the workers inherit them."""
 
     def __init__(self, terms: Iterable[tuple[str, bool]]):
         terms = set(terms)

@@ -1,7 +1,7 @@
-import concurrent.futures
 import csv
 import io
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -41,6 +41,7 @@ from litscan.ingest import (
     prefix_region,
 )
 from litscan.matching import EvidenceMatch, run_analyzer, scan_pieces
+from litscan.pool import fork_map
 from litscan.report import _raw_span, render_report
 from litscan.scoring import VERDICTS, AnalyzerEvidence, aggregate_tags, decide_exclusion, resolve_analyzer
 from litscan.synthetic import FILLER_WORDS, TRAP_CHUNK, strip_markers
@@ -600,61 +601,169 @@ def test_jobs_parity_mini(tmp_path):
         assert (seq / "reports" / name).read_bytes() == (par / "reports" / name).read_bytes()
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records (max_workers, chunksize)
-    and runs the tasks in this process, so no worker is ever started."""
+def _count_forks(monkeypatch) -> list[int]:
+    """The pids of the workers that os.fork starts from here on; the forks still happen."""
+    forks = []
+    real = os.fork
 
-    calls: list[tuple[int, int]] = []
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers = max_workers
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize):
-        self.calls.append((self.max_workers, chunksize))
-        return map(fn, iterable)
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
 
 
-def _record_pools(monkeypatch) -> list[tuple[int, int]]:
-    # run_corpus imports the pool class from its package when it needs a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(corpus, "_WORKER_ARGS", None)  # restored after the recorder sets it
-    monkeypatch.setattr(_RecordingPool, "calls", [])
-    return _RecordingPool.calls
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_pool_has_no_more_workers_than_chunks(compiled, tmp_path, monkeypatch):
-    calls = _record_pools(monkeypatch)
+def test_a_run_forks_no_more_workers_than_papers(compiled, tmp_path, monkeypatch):
+    forks = _count_forks(monkeypatch)
     texts = {f"p{i}": "We used a Student's t-test. " + " ".join(filler(60, seed=i)) for i in range(3)}
     metas = load_manifest(_write_corpus(tmp_path, texts))
     config = RunConfig(short_threshold=10)
 
     rows = run_corpus(metas, compiled, config, tmp_path, jobs=64)
-    assert calls == [(3, 1)]
+    assert len(forks) == 3
+    _no_child_left()
     assert [meta.paper_id for meta, _, _ in rows] == ["p0", "p1", "p2"]
     assert all(result is not None and error is None for _, result, error in rows)
     assert sorted(p.name for p in tmp_path.glob("p*.txt")) == ["p0.txt", "p1.txt", "p2.txt"]
 
-    assert run_corpus([], compiled, config, tmp_path, jobs=4) == []  # an empty manifest starts no pool
-    assert len(run_corpus(metas[:1], compiled, config, tmp_path, jobs=4)) == 1  # one chunk runs here
+    assert run_corpus([], compiled, config, tmp_path, jobs=4) == []  # an empty manifest forks nothing
+    assert len(run_corpus(metas[:1], compiled, config, tmp_path, jobs=4)) == 1  # one paper runs here
     assert len(run_corpus(metas, compiled, config, tmp_path, jobs=1)) == 3
-    assert calls == [(3, 1)]
+    assert len(forks) == 3
 
 
-def test_pool_takes_the_manifest_in_chunks(compiled, tmp_path, monkeypatch):
-    calls = _record_pools(monkeypatch)
+def test_failed_papers_come_back_in_manifest_order(compiled, tmp_path, monkeypatch):
+    forks = _count_forks(monkeypatch)
     metas = [SourceMeta(f"m{i}", "J", 2011, str(tmp_path / f"m{i}.txt")) for i in range(40)]
     rows = run_corpus(metas, compiled, RunConfig(), tmp_path, jobs=2)
-    assert calls == [(2, 40 // (2 * corpus.CHUNKS_PER_WORKER))]
+    assert len(forks) == 2
+    _no_child_left()
     assert [meta for meta, _, _ in rows] == metas
-    assert all(result is None and f"m{i}: FileNotFoundError" in error
+    assert all(result is None and error.startswith(f"m{i}: FileNotFoundError")
                for i, (_, result, error) in enumerate(rows))
+
+
+def test_fork_map_hands_out_each_item_once(monkeypatch):
+    # more workers than cores share the task pipe; a lost or repeated read would lose or move a value
+    forks = _count_forks(monkeypatch)
+    started = time.perf_counter()
+    values = fork_map(lambda i: (i, os.getpid()), range(500), 6)
+    assert time.perf_counter() - started < 30.0
+    assert [i for i, _ in values] == list(range(500))
+    assert len(forks) == 6 and {pid for _, pid in values} <= set(forks)
+    _no_child_left()
+
+
+def test_workers_take_the_papers_one_at_a_time(compiled, tmp_path, monkeypatch):
+    # the first paper holds its worker for a second; the other worker takes every paper after it
+    def classify_file(meta, *args):
+        if meta.paper_id == "m0":
+            time.sleep(1.0)
+        return None, str(os.getpid())
+
+    monkeypatch.setattr(corpus, "classify_file", classify_file)
+    metas = [SourceMeta(f"m{i}", "J", 2011, "") for i in range(6)]
+    pids = [error for _, _, error in run_corpus(metas, compiled, RunConfig(), tmp_path, jobs=2)]
+    assert pids[0] not in pids[1:] and len(set(pids[1:])) == 1
+
+
+def test_a_forked_run_builds_each_group_scanner_once_before_it_forks(bundle, tmp_path, monkeypatch):
+    parent = os.getpid()
+    builds = []  # the terms of each scanner built
+    real = matching.PieceScanner.__init__
+
+    def counting(self, terms):
+        if os.getpid() != parent:
+            raise RuntimeError("a worker built a scanner")
+        terms = set(terms)
+        builds.append({term for term, _ in terms})
+        real(self, terms)
+
+    monkeypatch.setattr(matching.PieceScanner, "__init__", counting)
+    texts = {f"p{i}": "We used a Student's t-test. " + " ".join(filler(60, seed=i)) for i in range(4)}
+    metas = load_manifest(_write_corpus(tmp_path, texts))
+    compiled = Bundle(bundle)
+    rows = run_corpus(metas, compiled, RunConfig(short_threshold=10), tmp_path, jobs=2)
+    assert [(result and result.status, error) for _, result, error in rows] == [("analyzed", None)] * 4
+    assert builds == [{t for s in group for t in s.terms} for group in (compiled.excluders, compiled.classifiers)]
+
+
+def _six_papers(tmp_path: Path) -> list[str]:
+    """classify arguments for six papers at --jobs 2, out to tmp_path/out."""
+    texts = {f"p{i}": f"We used a Student's t-test in run {i}. " + " ".join(filler(90, seed=i)) for i in range(6)}
+    return ["classify", "--manifest", str(_write_corpus(tmp_path, texts)), "--analyzers", str(ANALYZER_DIR),
+            "--out", str(tmp_path / "out"), "--short-threshold", "20", "--jobs", "2"]
+
+
+def _failed_cleanly(tmp_path: Path, err: str, forks: list[int], how: str):
+    (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+    found = re.fullmatch(rf"error: worker (\d+) {how}", line)
+    assert found and int(found[1]) in forks, line
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "results.csv").exists()
+    _no_child_left()
+
+
+def test_a_killed_worker_fails_the_run_cleanly(tmp_path, monkeypatch, capsys):
+    forks = _count_forks(monkeypatch)
+    # the converter kills its worker, its parent, on paper p3
+    converter = "sh -c 'case $0 in *p3.txt) kill -9 $PPID;; esac; cat \"$0\"' {input}"
+    assert main(_six_papers(tmp_path) + ["--converter", converter]) == 1
+    _failed_cleanly(tmp_path, capsys.readouterr().err, forks, "was killed by signal 9")
+
+
+class _Abort(BaseException):
+    """Raised past classify_file's per-paper isolation."""
+
+
+def test_a_worker_whose_paper_raises_past_classify_file_fails_the_run_cleanly(tmp_path, monkeypatch, capsys):
+    forks = _count_forks(monkeypatch)
+    real = corpus.classify_file
+
+    def aborting(meta, *args):
+        if meta.paper_id == "p3":
+            raise _Abort
+        return real(meta, *args)
+
+    monkeypatch.setattr(corpus, "classify_file", aborting)
+    parent, returns = os.getpid(), tmp_path / "returns"
+    rc = main(_six_papers(tmp_path))
+    with open(returns, "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    if os.getpid() != parent:
+        os._exit(0)  # a worker that got here goes no further
+    assert returns.read_text(encoding="utf-8").split() == [str(parent)]  # main returned once, here
+    assert rc == 1
+    _failed_cleanly(tmp_path, capsys.readouterr().err, forks, "exited with status 1")
+
+
+def test_an_error_in_the_parent_ends_every_worker(compiled, tmp_path, monkeypatch):
+    forks = _count_forks(monkeypatch)
+
+    def failing(data):
+        raise RuntimeError("unreadable rows")
+
+    monkeypatch.setattr(pickle, "loads", failing)
+    metas = [SourceMeta(f"m{i}", "J", 2011, str(tmp_path / f"m{i}.txt")) for i in range(4)]
+    with pytest.raises(RuntimeError, match="unreadable rows"):
+        run_corpus(metas, compiled, RunConfig(), tmp_path, jobs=3)
+    assert len(forks) == 3
+    _no_child_left()
+
+
+def test_jobs_above_one_needs_fork(tmp_path, monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    assert main(_six_papers(tmp_path)) == 1
+    assert "error: --jobs above 1 needs os.fork" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def test_cli_rejects_jobs_below_one(tmp_path, capsys):
