@@ -16,7 +16,6 @@ that died, 2 partial per-paper failures during a classify run.
 """
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -43,8 +42,6 @@ from .corpus import (
 )
 from .dsl import AnalyzerParseError, BundleError, load_bundle
 from .ingest import DEFAULT_SHORT_THRESHOLD, SourceMeta, load_document, load_manifest, table_text
-
-log = logging.getLogger("litscan")
 
 
 def _bundle(args: argparse.Namespace) -> Bundle:
@@ -106,9 +103,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         (out / "errors.csv").write_text(
             table_text(["paper_id", "error"], errors), encoding="utf-8", newline=""
         )
-        log.warning("%d of %d papers failed; see errors.csv", len(errors), len(metas))
+        print(f"WARNING litscan: {len(errors)} of {len(metas)} papers failed; see errors.csv", file=sys.stderr)
         return 2
-    log.info("classified %d papers into %s", len(results), out)
+    print(f"INFO litscan: classified {len(results)} papers into {out}", file=sys.stderr)
     return 0
 
 
@@ -181,7 +178,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="litscan", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a manifest of papers")
@@ -234,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         return args.func(args)
     except (AnalyzerParseError, BundleError, ValueError, OSError) as exc:

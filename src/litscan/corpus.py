@@ -8,10 +8,10 @@ isolated so a batch run never aborts on one bad file.
 
 import contextlib
 import functools
-import logging
+import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .dsl import AnalyzerSpec
 from .ingest import (
@@ -40,8 +40,6 @@ from .scoring import (
     resolve_analyzer,
 )
 
-log = logging.getLogger(__name__)
-
 class Bundle:
     """An analyzer bundle compiled for one run's match config: its exclusion
     and classification analyzers, in bundle order, the sorted tags of the
@@ -65,26 +63,32 @@ class Bundle:
         return group_scanner(self.classifiers, self.match)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     short_threshold: int = DEFAULT_SHORT_THRESHOLD
     converter: str | None = None
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_RunFields):
+    """A run's input settings; a converter template without {input} raises
+    ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.converter is not None and "{input}" not in self.converter:
             raise ValueError(f"--converter must contain {{input}}, got {self.converter!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class CorpusResult:
+class CorpusResult(NamedTuple):
     meta: SourceMeta
     status: str
     tag_verdicts: dict[str, str]  # populated only for analyzed papers
     word_count: int
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(NamedTuple):
     journal: str
     year: int
     papers_total: int
@@ -116,7 +120,7 @@ def classify_paper(
         # the exclusion regions is never scanned
         evidences = _evidence(doc, bundle.excluders, bundle.exclusion_scanner, bundle.match)
         if decide_exclusion(evidences):
-            doc = replace(doc, status=STATUS_EXCLUDED_SECONDARY)
+            doc = doc._replace(status=STATUS_EXCLUDED_SECONDARY)
         else:
             class_evidence = _evidence(doc, bundle.classifiers, bundle.classification_scanner, bundle.match)
             summaries = aggregate_tags(class_evidence, bundle.tags)
@@ -141,7 +145,10 @@ def classify_file(
         result, report = classify_paper(load_document(meta, config.converter), bundle, config)
         (reports_dir / f"{meta.paper_id}.txt").write_text(report, encoding="utf-8")
     except Exception as exc:  # per-paper isolation
-        log.exception("classifying %s failed", meta.paper_id)
+        import traceback  # only here: a run with no failure never needs it
+
+        print(f"ERROR litscan.corpus: classifying {meta.paper_id} failed\n{traceback.format_exc()}",
+              end="", file=sys.stderr)  # in one write
         with contextlib.suppress(OSError):  # the error row is written either way
             (reports_dir / f"{meta.paper_id}.txt").unlink(missing_ok=True)
         return None, f"{meta.paper_id}: {type(exc).__name__}: {exc}"

@@ -28,8 +28,8 @@ skip pattern may not match the empty string.
 """
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .ingest import RESULT_COLUMNS, normalize
 
@@ -59,56 +59,78 @@ def normalize_phrase(phrase: str) -> str:
     return normalize(phrase)[0]
 
 
-@dataclass(frozen=True)
-class ExampleTemplate:
+class _ExampleFields(NamedTuple):
+    raw_line: str
+    primary: str
+    supports: tuple[str, ...]
+    normalized_primary: str
+    normalized_supports: tuple[str, ...]
+
+
+class ExampleTemplate(_ExampleFields):
     """One annotated example line: a primary phrase plus ordered supports.
     The normalized forms are derived from them; the normalized supports
     are deduplicated, so each distinct phrase counts once."""
 
-    raw_line: str
-    primary: str
-    supports: tuple[str, ...]
-    normalized_primary: str = field(init=False)
-    normalized_supports: tuple[str, ...] = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normalized_primary", normalize_phrase(self.primary))
-        supports = (normalize_phrase(s) for s in self.supports)
-        object.__setattr__(self, "normalized_supports", tuple(dict.fromkeys(s for s in supports if s)))
+    def __new__(cls, raw_line: str, primary: str, supports: tuple[str, ...]):
+        normalized = (normalize_phrase(s) for s in supports)
+        deduplicated = tuple(dict.fromkeys(s for s in normalized if s))
+        return super().__new__(cls, raw_line, primary, supports, normalize_phrase(primary), deduplicated)
 
 
-@dataclass(frozen=True)
-class SkipMatcher:
+class _SkipFields(NamedTuple):
+    pattern: str
+    case_insensitive: bool
+    compiled: re.Pattern
+
+
+class SkipMatcher(_SkipFields):
     """A skip regex; `compiled` is derived from the pattern and its flag, and
     a pattern that does not compile raises re.error."""
 
-    pattern: str
-    case_insensitive: bool
-    compiled: re.Pattern = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        flags = re.IGNORECASE if self.case_insensitive else 0
-        object.__setattr__(self, "compiled", re.compile(self.pattern, flags))
+    def __new__(cls, pattern: str, case_insensitive: bool):
+        compiled = re.compile(pattern, re.IGNORECASE if case_insensitive else 0)
+        return super().__new__(cls, pattern, case_insensitive, compiled)
 
 
-@dataclass(frozen=True)
-class AnalyzerSpec:
+class _AnalyzerFields(NamedTuple):
     name: str
     positives: tuple[ExampleTemplate, ...]
     negatives: tuple[ExampleTemplate, ...]
     skips: tuple[SkipMatcher, ...]
     synonyms: tuple[str, ...]
     tags: tuple[str, ...]
-    region_fraction: float = 1.0
-    mode: str = "classify"  # "classify" | "exclude"
-    # derived: `synonyms` normalized, and every candidate term of the examples
-    normalized_synonyms: tuple[str, ...] = field(init=False, repr=False)
-    terms: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    region_fraction: float
+    mode: str  # "classify" | "exclude"
+    # derived by AnalyzerSpec, which `_replace` does not call: `synonyms`
+    # normalized, and every candidate term of the examples
+    normalized_synonyms: tuple[str, ...]
+    terms: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "normalized_synonyms", tuple(normalize_phrase(s) for s in self.synonyms))
-        terms = (t for ex in self.positives + self.negatives for t in self.candidate_terms(ex))
-        object.__setattr__(self, "terms", tuple(dict.fromkeys(terms)))
+
+class AnalyzerSpec(_AnalyzerFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        positives: tuple[ExampleTemplate, ...],
+        negatives: tuple[ExampleTemplate, ...],
+        skips: tuple[SkipMatcher, ...],
+        synonyms: tuple[str, ...],
+        tags: tuple[str, ...],
+        region_fraction: float = 1.0,
+        mode: str = "classify",
+    ):
+        normalized = tuple(normalize_phrase(s) for s in synonyms)
+        terms = dict.fromkeys(t for ex in positives + negatives for t in (ex.normalized_primary, *normalized))
+        return super().__new__(
+            cls, name, positives, negatives, skips, synonyms, tags, region_fraction, mode, normalized, tuple(terms)
+        )
 
     def candidate_terms(self, example: ExampleTemplate) -> tuple[str, ...]:
         """Normalized search terms for one example: its primary plus every

@@ -12,17 +12,14 @@ one pass that builds the normalized text and the map together.
 
 import csv
 import io
-import logging
 import math
 import re
+import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
 from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
-
-log = logging.getLogger(__name__)
 
 STATUS_ANALYZED = "analyzed"
 STATUS_SKIPPED_SHORT = "skipped_short"
@@ -64,16 +61,14 @@ class Region(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class SourceMeta:
+class SourceMeta(NamedTuple):
     paper_id: str
     journal: str
     year: int
     path: str
 
 
-@dataclass(frozen=True)
-class DocumentText:
+class DocumentText(NamedTuple):
     """One paper's text, raw and normalized, plus the offset map linking the
     two (see `normalize`). Immutable; safe to share across parallel workers."""
 
@@ -89,8 +84,9 @@ def normalize(raw: str) -> tuple[str, OffsetMap]:
     """Normalize text for matching. Returns (normalized, offset_map).
 
     Rules:
-      1. a line break between "letter-" and a letter is removed (the word was
-         split across lines); the hyphen itself then falls under rule 5
+      1. a line break between "letter-" and a letter is not removed: like
+         every separator it becomes a space (rule 2), and so does the hyphen
+         (rule 5), so "ANO-\nVA" gives "ano va"
       2. every whitespace run collapses to a single space
       3. letters are lowercased, each on its own ('Σ' always gives 'σ'), and
          'İ' gives a plain 'i'
@@ -199,11 +195,12 @@ def gate_short(doc: DocumentText, short_threshold: int = DEFAULT_SHORT_THRESHOLD
     """Mark documents below the word-count threshold (strict less-than) as
     skipped. Text content is never touched, only the status."""
     if doc.word_count < short_threshold:
-        log.warning(
-            "skipping %s: %d words is below the %d-word threshold",
-            doc.meta.paper_id, doc.word_count, short_threshold,
+        print(
+            f"WARNING litscan.ingest: skipping {doc.meta.paper_id}: "
+            f"{doc.word_count} words is below the {short_threshold}-word threshold",
+            file=sys.stderr,
         )
-        return replace(doc, status=STATUS_SKIPPED_SHORT)
+        return doc._replace(status=STATUS_SKIPPED_SHORT)
     return doc
 
 

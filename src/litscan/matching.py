@@ -47,7 +47,7 @@ insertion or deletion, or one adjacent swap.
 
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .dsl import AnalyzerSpec, SkipMatcher
 from .ingest import DocumentText, Region, prefix_region
@@ -72,24 +72,30 @@ LETTER_ORDER = " etaoinshrdlcumwfgypbvkjxqz"
 Layout = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class MatchConfig:
+class _MatchFields(NamedTuple):
     support_window: int = DEFAULT_SUPPORT_WINDOW
     skip_window: int = DEFAULT_SKIP_WINDOW
     max_edits: int = DEFAULT_MAX_EDITS
     fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LEN
 
-    def __post_init__(self) -> None:
+
+class MatchConfig(_MatchFields):
+    """The matching flags; a value out of range raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_edits not in (0, 1):
             raise ValueError(f"max_edits must be 0 or 1, got {self.max_edits}")
         if self.support_window <= 0:
             raise ValueError("support_window must be positive")
         if self.skip_window < 0:
             raise ValueError("skip_window must not be negative")
+        return self
 
 
-@dataclass(frozen=True)
-class EvidenceMatch:
+class EvidenceMatch(NamedTuple):
     """A located primary match with its supporting matches and the skip
     pattern that cancelled it, if one did."""
 
@@ -446,7 +452,7 @@ def apply_skips(
         if m.span not in skipped_by:
             skipped_by[m.span] = _skip_hit(m.span, skips, text, skip_window)
         hit = skipped_by[m.span]
-        out.append(replace(m, skipped_by=hit) if hit else m)
+        out.append(m._replace(skipped_by=hit) if hit else m)
     return out
 
 

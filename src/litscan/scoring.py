@@ -7,7 +7,7 @@ verdicts across analyzers; a tag holds as soon as one analyzer is positive,
 and negative evidence never vetoes a different analyzer's positive.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dsl import AnalyzerSpec
 from .ingest import Region
@@ -19,8 +19,7 @@ VERDICT_NONE = "none"
 VERDICTS = (VERDICT_POSITIVE, VERDICT_NEGATIVE, VERDICT_NONE)
 
 
-@dataclass(frozen=True)
-class AnalyzerEvidence:
+class AnalyzerEvidence(NamedTuple):
     analyzer: str
     positive_matches: tuple[EvidenceMatch, ...]  # unskipped only
     negative_matches: tuple[EvidenceMatch, ...]  # confirmed only
@@ -40,8 +39,7 @@ class AnalyzerEvidence:
         return sum(m.score for m in self.positive_matches)
 
 
-@dataclass(frozen=True)
-class TagSummary:
+class TagSummary(NamedTuple):
     """One tag's count of positive and of negative analyzers."""
 
     tag: str

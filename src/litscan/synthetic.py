@@ -17,8 +17,8 @@ document, so every planting is guaranteed detectable by construction.
 
 import random
 import string
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Bundle
 from .dsl import AnalyzerSpec
@@ -52,8 +52,7 @@ _SEPARATION_WORDS = 150  # keeps chunks outside each other's support windows
 _WRAP_WIDTH = 12  # words per line in the written text files
 
 
-@dataclass(frozen=True)
-class DocPlan:
+class DocPlan(NamedTuple):
     paper_id: str
     journal: str
     year: int
@@ -63,8 +62,7 @@ class DocPlan:
     traps: int
 
 
-@dataclass(frozen=True)
-class SyntheticCorpus:
+class SyntheticCorpus(NamedTuple):
     out_dir: Path
     manifest_path: Path
     truth_path: Path

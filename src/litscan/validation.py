@@ -4,7 +4,6 @@ manual review rounds.
 """
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,8 +22,7 @@ class GroundTruth(NamedTuple):
     label: str  # LABEL_PRESENT | LABEL_ABSENT
 
 
-@dataclass(frozen=True)
-class ConfusionRow:
+class ConfusionRow(NamedTuple):
     tag: str
     true_positive: int
     false_positive: int

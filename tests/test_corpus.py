@@ -7,7 +7,6 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -176,7 +175,7 @@ def _classify_every_analyzer(doc, bundle, config):
         starts = scan_pieces(doc, bundle.excluders, bundle.exclusion_scanner)
         evidences = [resolve_analyzer(run_analyzer(doc, s, bundle.match, starts), s) for s in bundle.excluders]
         if decide_exclusion(evidences):
-            doc = replace(doc, status="excluded_secondary")
+            doc = doc._replace(status="excluded_secondary")
         else:
             starts = scan_pieces(doc, bundle.classifiers, bundle.classification_scanner)
             found = [resolve_analyzer(run_analyzer(doc, s, bundle.match, starts), s) for s in bundle.classifiers]
@@ -401,7 +400,7 @@ def test_cli_classify_end_to_end(compiled, tmp_path):
         "--out", str(out), "--short-threshold", "50",
     ])
     assert rc == 0
-    rows = list(csv.reader((out / "results.csv").open()))
+    rows = _csv_rows(out / "results.csv")
     header = rows[0]
     tags = list(compiled.tags)
     assert header == ["paper_id", "journal", "year", "words", "status"] + tags
@@ -441,7 +440,7 @@ def test_cli_converter_template(tmp_path):
         "--out", str(out), "--short-threshold", "50", "--converter", "cat {input}",
     ])
     assert rc == 0
-    rows = list(csv.reader((out / "results.csv").open()))
+    rows = _csv_rows(out / "results.csv")
     assert rows[1][4] == "analyzed"
 
 
@@ -527,10 +526,49 @@ def test_cli_classification_failure_costs_only_its_paper(tmp_path, monkeypatch):
     rc = main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
                "--out", str(out), "--short-threshold", "50", "--jobs", "1"])
     assert rc == 2
-    rows = list(csv.reader((out / "results.csv").open()))
+    rows = _csv_rows(out / "results.csv")
     assert [r[0] for r in rows[1:]] == ["good1", "good2"]
-    errors = list(csv.reader((out / "errors.csv").open()))
+    errors = _csv_rows(out / "errors.csv")
     assert errors[1] == ["bad", "bad: IndexError: tuple index out of range"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_classify_stderr_lines(jobs, tmp_path, capfd):
+    # capfd, not capsys: at --jobs 2 the workers write the skip and error lines
+    texts = {"short": "Too short to classify.", "gone": "",
+             "good": "We used a Student's t-test. " + " ".join(filler(90))}
+    manifest = _write_corpus(tmp_path, texts)
+    gone = tmp_path / "docs" / "gone.txt"
+    gone.unlink()
+    out = tmp_path / "out"
+    argv = ["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
+            "--out", str(out), "--short-threshold", "50", "--jobs", jobs]
+    skip = "WARNING litscan.ingest: skipping short: 4 words is below the 50-word threshold"
+    error = "ERROR litscan.corpus: classifying gone failed"
+    assert main(argv) == 2
+    lines = capfd.readouterr().err.splitlines()
+    tagged = [line for line in lines if line.startswith(("WARNING ", "ERROR ", "INFO "))]
+    expected = [skip, error, "WARNING litscan: 1 of 3 papers failed; see errors.csv"]
+    assert tagged == expected if jobs == "1" else sorted(tagged) == sorted(expected)
+    # the traceback follows its line whole, however the workers' lines interleave
+    at = lines.index(error)
+    end = lines.index(f"FileNotFoundError: [Errno 2] No such file or directory: '{gone}'")
+    assert lines[at + 1] == "Traceback (most recent call last):"
+    assert all(line.startswith(" ") for line in lines[at + 2:end])
+    gone.write_text(texts["good"], encoding="utf-8")
+    assert main(argv) == 0
+    assert capfd.readouterr().err.splitlines() == [skip, f"INFO litscan: classified 3 papers into {out}"]
+
+
+def test_importing_the_cli_loads_no_dataclasses_logging_or_inspect():
+    # what the import adds to sys.modules, so whatever `site` imported first does not count
+    code = ("import sys; before = set(sys.modules); import litscan.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(corpus.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "litscan.cli" in added
+    assert not added & {"dataclasses", "logging", "inspect"}
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -476,7 +475,7 @@ def _one_edit_variants(term):
 @pytest.mark.parametrize("mode", ["exclude", "classify"])
 def test_group_start_letters_lose_no_one_edit_match(bundle, match_config, mode):
     # the whole text is scanned, whatever region the analyzers keep
-    group = [replace(spec, region_fraction=1.0) for spec in bundle if spec.mode == mode]
+    group = [spec._replace(region_fraction=1.0) for spec in bundle if spec.mode == mode]
     scanner = group_scanner(group, match_config)
     examples = [(spec, ex) for spec in group for ex in spec.positives + spec.negatives]
     terms = sorted({term for spec, ex in examples for term in spec.candidate_terms(ex)})
@@ -713,11 +712,11 @@ def test_skips_evaluate_each_distinct_span_once():
     text = "several unit tests were written, and then we used a t test"
     counting = _CountingPattern(SKIP.compiled)
     skip = parse_skip_matcher(r'#RegexpMatcher(r"[a-zA-Z]{1}t(\s+|-)test"i)#')
-    object.__setattr__(skip, "compiled", counting)
+    skip = skip._replace(compiled=counting)
     trap, plain = _match_at(text, "t test"), _match_at(text, "a t test")
-    plain = replace(plain, span=Region(plain.span.start + 2, plain.span.end))
-    matches = [replace(m, example_index=i) for i, m in enumerate([trap, trap, plain, trap, plain])]
-    matches.append(replace(plain, polarity="negative"))
+    plain = plain._replace(span=Region(plain.span.start + 2, plain.span.end))
+    matches = [m._replace(example_index=i) for i, m in enumerate([trap, trap, plain, trap, plain])]
+    matches.append(plain._replace(polarity="negative"))
     out = apply_skips(matches, (skip,), text)
     assert len(counting.windows) == 2
     assert [m.skipped for m in out] == [True, True, False, True, False, False]
@@ -726,7 +725,7 @@ def test_skips_evaluate_each_distinct_span_once():
 
 def test_skip_never_touches_negative_matches():
     text = "several unit tests were written"
-    m = replace(_match_at(text, "t test"), polarity="negative")
+    m = _match_at(text, "t test")._replace(polarity="negative")
     (out,) = apply_skips([m], (SKIP,), text)
     assert not out.skipped
 

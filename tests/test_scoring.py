@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,11 +105,11 @@ def test_no_matches_is_no_evidence():
 def test_skipped_positives_are_excluded_and_score_inert():
     live = [_match(supports=2), _match(start=9)]
     ev = resolve_analyzer(live, SPEC)
-    toggled = [replace(live[0], skipped_by="p"), live[1]]
+    toggled = [live[0]._replace(skipped_by="p"), live[1]]
     ev2 = resolve_analyzer(toggled, SPEC)
     assert ev2.total_score <= ev.total_score
     assert ev2.verdict == VERDICT_POSITIVE
-    all_skipped = [replace(m, skipped_by="p") for m in live]
+    all_skipped = [m._replace(skipped_by="p") for m in live]
     assert resolve_analyzer(all_skipped, SPEC).verdict == VERDICT_NONE
 
 
