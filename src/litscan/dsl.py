@@ -59,49 +59,20 @@ def normalize_phrase(phrase: str) -> str:
     return normalize(phrase)[0]
 
 
-class _ExampleFields(NamedTuple):
+class ExampleTemplate(NamedTuple):
+    """One annotated example line: its normalized primary phrase and its
+    normalized supports, deduplicated, so each distinct phrase counts once."""
+
     raw_line: str
-    primary: str
-    supports: tuple[str, ...]
     normalized_primary: str
     normalized_supports: tuple[str, ...]
-
-
-class ExampleTemplate(_ExampleFields):
-    """One annotated example line: a primary phrase plus ordered supports.
-    The normalized forms are derived from them; the normalized supports
-    are deduplicated, so each distinct phrase counts once."""
-
-    __slots__ = ()
-
-    def __new__(cls, raw_line: str, primary: str, supports: tuple[str, ...]):
-        normalized = (normalize_phrase(s) for s in supports)
-        deduplicated = tuple(dict.fromkeys(s for s in normalized if s))
-        return super().__new__(cls, raw_line, primary, supports, normalize_phrase(primary), deduplicated)
-
-
-class _SkipFields(NamedTuple):
-    pattern: str
-    case_insensitive: bool
-    compiled: re.Pattern
-
-
-class SkipMatcher(_SkipFields):
-    """A skip regex; `compiled` is derived from the pattern and its flag, and
-    a pattern that does not compile raises re.error."""
-
-    __slots__ = ()
-
-    def __new__(cls, pattern: str, case_insensitive: bool):
-        compiled = re.compile(pattern, re.IGNORECASE if case_insensitive else 0)
-        return super().__new__(cls, pattern, case_insensitive, compiled)
 
 
 class _AnalyzerFields(NamedTuple):
     name: str
     positives: tuple[ExampleTemplate, ...]
     negatives: tuple[ExampleTemplate, ...]
-    skips: tuple[SkipMatcher, ...]
+    skips: tuple[re.Pattern, ...]
     synonyms: tuple[str, ...]
     tags: tuple[str, ...]
     region_fraction: float
@@ -120,7 +91,7 @@ class AnalyzerSpec(_AnalyzerFields):
         name: str,
         positives: tuple[ExampleTemplate, ...],
         negatives: tuple[ExampleTemplate, ...],
-        skips: tuple[SkipMatcher, ...],
+        skips: tuple[re.Pattern, ...],
         synonyms: tuple[str, ...],
         tags: tuple[str, ...],
         region_fraction: float = 1.0,
@@ -138,15 +109,17 @@ class AnalyzerSpec(_AnalyzerFields):
         return tuple(dict.fromkeys((example.normalized_primary, *self.normalized_synonyms)))
 
 
-def parse_skip_matcher(token: str) -> SkipMatcher:
+def parse_skip_matcher(token: str) -> re.Pattern:
+    """The compiled skip regex of a `#RegexpMatcher(r"..."i)#` token; the
+    trailing i makes it case-insensitive."""
     m = _SKIP_TOKEN_RE.match(token.strip())
     if m is None:
         raise ValueError(f"malformed skip matcher: {token!r}")
     try:
-        skip = SkipMatcher(pattern=m.group(1), case_insensitive="i" in m.group(2))
+        skip = re.compile(m.group(1), re.IGNORECASE if m.group(2) else 0)
     except re.error as exc:
         raise ValueError(f"skip matcher pattern does not compile: {exc}") from exc
-    if skip.compiled.match(""):
+    if skip.match(""):
         # an empty match inside a span would cancel every match it falls in
         raise ValueError(f"skip matcher pattern matches the empty string: {skip.pattern!r}")
     return skip
@@ -167,20 +140,16 @@ def _parse_example(line: str) -> ExampleTemplate:
     end = line.index("]]]")
     if end < start:
         raise ValueError("unopened primary marker")
-    primary = line[start + 3 : end]
-    if not normalize_phrase(primary):
+    primary = normalize_phrase(line[start + 3 : end])
+    if not primary:
         raise ValueError("empty primary phrase")
     if line.count("__") % 2 != 0:
         raise ValueError("odd count of __ markers")
     rest = line[:start] + line[end + 3 :]
-    pieces = rest.split("__")
-    supports = []
-    for idx in range(1, len(pieces), 2):
-        sup = pieces[idx]
-        if not normalize_phrase(sup):
-            raise ValueError("empty support phrase")
-        supports.append(sup)
-    return ExampleTemplate(line, primary, tuple(supports))
+    supports = [normalize_phrase(sup) for sup in rest.split("__")[1::2]]
+    if not all(supports):
+        raise ValueError("empty support phrase")
+    return ExampleTemplate(line, primary, tuple(dict.fromkeys(supports)))
 
 
 def _is_comment(line: str) -> bool:
@@ -197,7 +166,7 @@ def parse_analyzer(source: str, source_name: str = "<string>") -> AnalyzerSpec:
     mode = "classify"
     positives: list[ExampleTemplate] = []
     negatives: list[ExampleTemplate] = []
-    skips: list[SkipMatcher] = []
+    skips: list[re.Pattern] = []
     synonym_chunks: list[str] = []
     errors: list[tuple[int, str]] = []
     keys_given: set[str] = set()

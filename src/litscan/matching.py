@@ -49,7 +49,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
-from .dsl import AnalyzerSpec, SkipMatcher
+from .dsl import AnalyzerSpec
 from .ingest import DocumentText, Region, prefix_region
 
 DEFAULT_SUPPORT_WINDOW = 500
@@ -96,14 +96,14 @@ class MatchConfig(_MatchFields):
 
 
 class EvidenceMatch(NamedTuple):
-    """A located primary match with its supporting matches and the skip
-    pattern that cancelled it, if one did."""
+    """A located primary match with the supporting phrases found near it and
+    the skip pattern that cancelled it, if one did."""
 
     example_index: int
     polarity: str
     matched_term: str
     span: Region
-    matched_supports: tuple[tuple[str, Region], ...]
+    matched_supports: tuple[str, ...]
     skipped_by: str | None = None
 
     @property
@@ -415,55 +415,43 @@ def find_supports(
     primary_span: Region,
     supports: tuple[str, ...],
     window: int,
-) -> list[tuple[str, Region]]:
-    """Supports (normalized phrases) that occur exactly, starting within
-    `window` characters of the primary span. Each support counts at most
-    once; the first occurrence in the window is recorded."""
+) -> list[str]:
+    """The supports (normalized phrases) that occur exactly, starting within
+    `window` characters of the primary span, in their given order."""
     lo = max(0, primary_span.start - window)
     hi = min(len(text), primary_span.end + window)
-    matched: list[tuple[str, Region]] = []
-    for phrase in supports:
-        idx = text.find(phrase, lo, hi + len(phrase) - 1)  # only starts before hi
-        if idx != -1:
-            matched.append((phrase, Region(idx, idx + len(phrase))))
-    return matched
+    # a phrase counts when it starts before hi
+    return [phrase for phrase in supports if text.find(phrase, lo, hi + len(phrase) - 1) != -1]
 
 
 def apply_skips(
     matches: list[EvidenceMatch],
-    skips: tuple[SkipMatcher, ...],
+    skips: tuple[re.Pattern, ...],
     text: str,
     skip_window: int = DEFAULT_SKIP_WINDOW,
 ) -> list[EvidenceMatch]:
     """Mark positive matches whose neighbourhood triggers a skip regex.
 
-    Each skip pattern is evaluated against the window span +/- skip_window;
-    a regex hit overlapping the primary span sets `skipped_by` to its pattern.
-    That depends on the span alone, so each distinct span is evaluated once,
-    however many examples matched it. Negative matches are never skipped.
-    Idempotent; never adds, removes, or reorders matches.
+    Each skip pattern is searched in the window span +/- skip_window; the
+    first hit overlapping the primary span sets `skipped_by` to its pattern's
+    source text. Negative matches are never skipped. Idempotent; never adds,
+    removes, or reorders matches.
     """
-    skipped_by: dict[Region, str | None] = {}
     out: list[EvidenceMatch] = []
     for m in matches:
-        if m.polarity != POSITIVE or m.skipped:
-            out.append(m)
-            continue
-        if m.span not in skipped_by:
-            skipped_by[m.span] = _skip_hit(m.span, skips, text, skip_window)
-        hit = skipped_by[m.span]
+        hit = _skip_hit(m.span, skips, text, skip_window) if m.polarity == POSITIVE else None
         out.append(m._replace(skipped_by=hit) if hit else m)
     return out
 
 
-def _skip_hit(span: Region, skips: tuple[SkipMatcher, ...], text: str, skip_window: int) -> str | None:
-    """The pattern of the first skip with a hit overlapping `span` in its window, or None."""
+def _skip_hit(span: Region, skips: tuple[re.Pattern, ...], text: str, skip_window: int) -> str | None:
+    """The source text of the first skip with a hit overlapping `span` in its window, or None."""
     lo = max(0, span.start - skip_window)
     window = text[lo : span.end + skip_window]
-    for sk in skips:
-        for rm in sk.compiled.finditer(window):
+    for skip in skips:
+        for rm in skip.finditer(window):
             if lo + rm.start() < span.end and lo + rm.end() > span.start:
-                return sk.pattern
+                return skip.pattern
     return None
 
 
@@ -506,10 +494,15 @@ def run_analyzer(
     exception is a one-edit span that only adds one character to an exact
     span: the exact span is kept and the one-edit span dropped, so in "the
     effect size of" the match is "effect size", not "effect sizes" one edit
-    from "effect size ". Positives gain supporting matches and pass through
+    from "effect size ". Positives gain supporting phrases and pass through
     the skip matchers; negatives are kept only when all supports matched.
-    Output is in the order it is built: positives then negatives, by example,
-    then by span; `scoring.resolve_analyzer` orders the evidence it reports.
+
+    Examples share the analyzer's synonyms, so several may match one span.
+    That span is one piece of evidence, kept once per polarity: from the
+    example that scores highest, then from the first such example. Output is
+    in the order it is built: positives then negatives, each by the first
+    example that matched its span, then by span;
+    `scoring.resolve_analyzer` orders the evidence it reports.
     """
     hit = piece_starts.hit
     if hit.isdisjoint(spec.terms):
@@ -517,7 +510,7 @@ def run_analyzer(
     region = prefix_region(doc, spec.region_fraction)
     text = doc.normalized
     spans_of: dict[str, list[Region]] = {}
-    matches: list[EvidenceMatch] = []
+    evidence: dict[tuple[str, Region], EvidenceMatch] = {}  # (polarity, span) -> its match
     for polarity, examples in ((POSITIVE, spec.positives), (NEGATIVE, spec.negatives)):
         for idx, example in enumerate(examples):
             by_span: dict[Region, str] = {}  # first term wins: primary, then synonyms
@@ -540,5 +533,7 @@ def run_analyzer(
                 found = find_supports(text, span, example.normalized_supports, config.support_window)
                 if polarity == NEGATIVE and len(found) < len(example.normalized_supports):
                     continue  # unconfirmed negative evidence is discarded
-                matches.append(EvidenceMatch(idx, polarity, term, span, tuple(found)))
-    return apply_skips(matches, spec.skips, text, config.skip_window)
+                rival = evidence.get((polarity, span))
+                if rival is None or len(found) > len(rival.matched_supports):
+                    evidence[polarity, span] = EvidenceMatch(idx, polarity, term, span, tuple(found))
+    return apply_skips(list(evidence.values()), spec.skips, text, config.skip_window)

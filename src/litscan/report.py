@@ -43,7 +43,7 @@ def _match_line(doc: DocumentText, m: EvidenceMatch) -> str:
     if m.skipped:
         line = f"skipped by {m.skipped_by}: {line}"
     if m.matched_supports:
-        line += " supports: [" + ", ".join(p for p, _ in m.matched_supports) + "]"
+        line += " supports: [" + ", ".join(m.matched_supports) + "]"
     return line
 
 

@@ -10,7 +10,6 @@ and negative evidence never vetoes a different analyzer's positive.
 from typing import NamedTuple
 
 from .dsl import AnalyzerSpec
-from .ingest import Region
 from .matching import NEGATIVE, POSITIVE, EvidenceMatch
 
 VERDICT_POSITIVE = "positive"
@@ -62,14 +61,9 @@ def match_order(m: EvidenceMatch) -> tuple:
 
 def resolve_analyzer(matches: list[EvidenceMatch], spec: AnalyzerSpec) -> AnalyzerEvidence:
     """One analyzer's verdict and its evidence, each kind in `match_order`.
-    One occurrence is one piece of evidence: of the matches with the same
-    polarity and span, which several examples sharing a term give, only the
-    first in `match_order` is kept. Skip matchers belong to the analyzer, so
-    such matches are all skipped or none are, and no verdict changes."""
-    first: dict[tuple[str, Region], EvidenceMatch] = {}
-    for m in sorted(matches, key=match_order):
-        first.setdefault((m.polarity, m.span), m)
-    ordered = first.values()
+    `run_analyzer` gives one match per polarity and span, so each match is
+    one piece of evidence."""
+    ordered = sorted(matches, key=match_order)
     return AnalyzerEvidence(
         analyzer=spec.name,
         positive_matches=tuple(m for m in ordered if m.polarity == POSITIVE and not m.skipped),

@@ -1,10 +1,11 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from litscan.corpus import Bundle
-from litscan.dsl import AnalyzerSpec, SkipMatcher, load_bundle
+from litscan.dsl import AnalyzerSpec, load_bundle
 from litscan.ingest import Region, SourceMeta, make_document
 from litscan.matching import MatchConfig, PieceScanner, PieceStarts, group_scanner, scan_pieces
 from litscan.synthetic import FILLER_WORDS
@@ -58,9 +59,9 @@ def scan_alone(text, target, config: MatchConfig = MatchConfig(), region: Region
     return scanner.scan(text, max(lo, 0), min(hi, len(text)))
 
 
-def skip_token(skip: SkipMatcher) -> str:
+def skip_token(skip: re.Pattern) -> str:
     """The `[skip]` line that parses to `skip`."""
-    flags = "i" if skip.case_insensitive else ""
+    flags = "i" if skip.flags & re.IGNORECASE else ""
     return f'#RegexpMatcher(r"{skip.pattern}"{flags})#'
 
 

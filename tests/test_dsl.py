@@ -10,7 +10,6 @@ from litscan.dsl import (
     AnalyzerSpec,
     BundleError,
     ExampleTemplate,
-    SkipMatcher,
     load_bundle,
     parse_analyzer,
     parse_skip_matcher,
@@ -32,20 +31,20 @@ def test_parse_ttest_analyzer_structure():
     assert spec.mode == "classify" and spec.region_fraction == 1.0
 
     first = spec.positives[0]
-    assert first.primary == "Student's t-test"
-    assert first.supports == ("used",)
+    assert first.raw_line == "We __used__ a [[[Student's t-test]]]"
     assert first.normalized_primary == "students t test"
+    assert first.normalized_supports == ("used",)
 
     second = spec.positives[1]
-    assert second.primary == "t-test"
-    assert len(second.supports) == 3
+    assert second.normalized_primary == "t test"
+    assert second.normalized_supports == ("rejected the null hypothesis", "significance level", "0.05")
 
     neg = spec.negatives[0]
-    assert neg.supports == ("did not use",)
+    assert neg.normalized_supports == ("did not use",)
 
     skip = spec.skips[0]
     assert skip.pattern == r"[a-zA-Z]{1}t(\s+|-)test"
-    assert skip.case_insensitive
+    assert skip.flags & re.IGNORECASE
 
 
 def test_candidate_terms_dedupe_after_normalization():
@@ -77,7 +76,8 @@ def test_synonyms_keep_verbatim_spellings():
 def test_parse_skip_matcher(token, pattern, ci):
     sk = parse_skip_matcher(token)
     assert sk.pattern == pattern
-    assert sk.case_insensitive is ci
+    assert bool(sk.flags & re.IGNORECASE) is ci
+    assert skip_token(sk) == token
 
 
 def test_parse_skip_matcher_rejects_malformed():
@@ -89,25 +89,40 @@ def test_parse_skip_matcher_rejects_malformed():
 
 def test_a_directly_built_example_equals_the_parsed_one(match_config):
     parsed = parse_analyzer(TTEST_SOURCE).positives[0]
-    built = ExampleTemplate(parsed.raw_line, parsed.primary, parsed.supports)
+    built = ExampleTemplate("We __used__ a [[[Student's t-test]]]", "students t test", ("used",))
     assert built == parsed
-    assert ExampleTemplate("x", "a", ("Used", "used", "'")).normalized_supports == ("used",)
     spec = AnalyzerSpec("direct", (built,), (), (), (), ("t",))
     doc = make_doc("We used a Student's t-test here")
     matches = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
-    assert [(m.matched_term, m.span, len(m.matched_supports)) for m in matches] == [
-        ("students t test", Region(10, 25), 1)
+    assert [(m.matched_term, m.span, m.matched_supports) for m in matches] == [
+        ("students t test", Region(10, 25), ("used",))
     ]
+
+
+def test_supports_are_deduplicated_after_normalization():
+    spec = parse_analyzer("analyzer: x\ntags: t\n[positive]\nWe __Used__ and __used__ the [[[a]]] __used __\n")
+    assert spec.positives[0].normalized_supports == ("used",)
+    _expect_error("analyzer: x\ntags: t\n[positive]\nWe __used__ the [[[a]]] __'__\n", "empty support phrase", 4)
 
 
 def test_a_directly_built_skip_matcher_equals_the_parsed_one():
     token = r'#RegexpMatcher(r"[a-zA-Z]{1}t(\s+|-)test"i)#'
-    built = SkipMatcher(r"[a-zA-Z]{1}t(\s+|-)test", True)
+    built = re.compile(r"[a-zA-Z]{1}t(\s+|-)test", re.IGNORECASE)
     assert built == parse_skip_matcher(token) and skip_token(built) == token
     text = "several unit tests were written"
     match = EvidenceMatch(0, "positive", "t test", Region(11, 17), ())
     (out,) = apply_skips([match], (built,), text)
-    assert out.skipped and apply_skips([match], (parse_skip_matcher(token),), text) == [out]
+    assert out.skipped_by == built.pattern
+    assert apply_skips([match], (parse_skip_matcher(token),), text) == [out]
+
+
+def test_the_skip_flag_survives_a_round_trip():
+    # the same pattern with and without the i flag gives unequal specs
+    source = TTEST_SOURCE.replace('test"i)#', 'test")#')
+    plain, insensitive = parse_analyzer(source), parse_analyzer(TTEST_SOURCE)
+    assert plain != insensitive and not plain.skips[0].flags & re.IGNORECASE
+    for spec in (plain, insensitive):
+        assert parse_analyzer(serialize_analyzer(spec)) == spec
 
 
 def _expect_error(source: str, needle: str, lineno: int | None = None):
@@ -178,7 +193,7 @@ def test_a_skip_pattern_that_matches_the_empty_string_is_an_error():
     doc = make_doc("We used a Student t-test here and it was fine.")
     matches = run_analyzer(doc, spec, MatchConfig(), scan_alone(doc, spec, MatchConfig()))
     assert matches and not any(m.skipped for m in matches)
-    assert all(m.skipped for m in apply_skips(matches, (SkipMatcher("(unit )?", False),), doc.normalized))
+    assert all(m.skipped for m in apply_skips(matches, (re.compile("(unit )?"),), doc.normalized))
 
 
 def test_exclude_mode_allows_missing_tags():

@@ -356,6 +356,8 @@ PATH_CELL = st.builds(
 )
 
 
+# each example writes a file, which can take longer than the default deadline on a busy host
+@settings(deadline=None)
 @given(st.lists(st.tuples(NAME, NAME, st.integers(1900, 2100), PATH_CELL), unique_by=lambda row: row[0], max_size=5))
 def test_load_manifest_reads_back_what_table_text_writes(tmp_path_factory, rows):
     base = tmp_path_factory.getbasetemp()

@@ -23,6 +23,7 @@ from litscan.matching import (
     scan_pieces,
 )
 from litscan.scoring import resolve_analyzer
+from litscan.synthetic import strip_markers
 
 # --- independent oracle -----------------------------------------------------
 # Distance decided by first-mismatch analysis (prefix/suffix slicing), written
@@ -548,20 +549,32 @@ def _bundle_vocabulary(bundle) -> list[str]:
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_one_occurrence_gives_one_piece_of_evidence(bundle, compiled, match_config, data):
-    # the examples of an analyzer share its synonyms, so run_analyzer may
-    # match one span once per example; its evidence keeps one of them
-    vocab = _bundle_vocabulary(bundle)
-    doc = make_doc(" ".join(data.draw(st.lists(st.sampled_from(vocab), max_size=60))))
+    # the examples of an analyzer share its synonyms, and its example lines
+    # hold them, so several examples match one span; run_analyzer keeps one
+    # match of each polarity there, and its evidence reports every one it keeps
+    chunks = [strip_markers(ex.raw_line) for spec in bundle for ex in spec.positives + spec.negatives]
+    chunks += [syn for spec in bundle for syn in spec.synonyms] + filler(20)
+    doc = make_doc(" ".join(data.draw(st.lists(st.sampled_from(chunks), max_size=30))))
     groups = ((compiled.excluders, compiled.exclusion_scanner), (compiled.classifiers, compiled.classification_scanner))
     for group, scanner in groups:
         starts = scan_pieces(doc, group, scanner)
         for spec in group:
             matches = run_analyzer(doc, spec, match_config, starts)
+            assert len({(m.polarity, m.span) for m in matches}) == len(matches), spec.name
             ev = resolve_analyzer(matches, spec)
-            kinds = (ev.positive_matches, ev.negative_matches, ev.skipped_matches)
-            for kept in kinds:
-                assert len({m.span for m in kept}) == len(kept), spec.name
-            assert {(m.polarity, m.span) for kept in kinds for m in kept} == {(m.polarity, m.span) for m in matches}
+            kept = ev.positive_matches + ev.negative_matches + ev.skipped_matches
+            assert len(kept) == len(matches) and set(kept) == set(matches), spec.name
+
+
+def test_a_span_two_examples_match_keeps_the_higher_score_then_the_first(match_config):
+    spec = parse_analyzer(
+        "analyzer: x\ntags: t\n[positive]\nthe [[[alpha test]]]\n__we ran__ the [[[beta test]]]\n"
+        '[synonyms]\n"gamma test"\n'
+    )
+    for text, index, score in (("so we ran the gamma test", 1, 2), ("so the gamma test", 0, 1)):
+        doc = make_doc(text)
+        (m,) = run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
+        assert (m.example_index, m.score, m.matched_term) == (index, score, "gamma test")
 
 
 @settings(max_examples=60, deadline=None)
@@ -593,9 +606,7 @@ def test_support_window_boundary_inclusive_exclusive():
     # support starting 499 characters past the span end is inside a 500 window
     text, span = _support_doc(499)
     assert text.find("needle") - span.end == 499
-    assert find_supports(text, span, ("needle words",), 500) == [
-        ("needle words", Region(span.end + 499, span.end + 499 + 12))
-    ]
+    assert find_supports(text, span, ("needle words",), 500) == ["needle words"]
     # at exactly 500 the half-open window excludes it
     text, span = _support_doc(500)
     assert find_supports(text, span, ("needle words",), 500) == []
@@ -608,16 +619,13 @@ def test_supports_vacuous_and_counted_once():
     text = "used used used a students t test"
     span = Region(17, 32)
     assert find_supports(text, span, (), 500) == []
-    matched = find_supports(text, span, ("used",), 500)
-    assert len(matched) == 1
-    assert matched[0][1] == Region(0, 4)  # first occurrence in the window
+    assert find_supports(text, span, ("used",), 500) == ["used"]
 
 
 def test_supports_search_before_and_after_span():
     text = "alpha anchorterm omega"
     span = Region(6, 16)
-    got = find_supports(text, span, ("alpha", "omega", "missing"), 500)
-    assert [phrase for phrase, _ in got] == ["alpha", "omega"]
+    assert find_supports(text, span, ("alpha", "omega", "missing"), 500) == ["alpha", "omega"]
 
 
 @settings(max_examples=200)
@@ -628,14 +636,10 @@ def test_supports_search_before_and_after_span():
     st.integers(0, 20),
     st.integers(1, 30),
 )
-def test_supports_are_first_occurrences_starting_in_the_window(text, supports, start, length, window):
+def test_supports_are_the_phrases_starting_in_the_window(text, supports, start, length, window):
     span = Region(start, start + length)
     lo, hi = max(0, span.start - window), min(len(text), span.end + window)
-    expected = []
-    for phrase in supports:
-        starts = [i for i in range(lo, hi) if text.startswith(phrase, i)]
-        if starts:
-            expected.append((phrase, Region(starts[0], starts[0] + len(phrase))))
+    expected = [phrase for phrase in supports if any(text.startswith(phrase, i) for i in range(lo, hi))]
     assert find_supports(text, span, tuple(supports), window) == expected
 
 
@@ -695,34 +699,6 @@ def test_skip_is_idempotent_and_only_flips_forward():
     assert [m.span for m in once] == [m.span for m in matches]
 
 
-class _CountingPattern:
-    """Stands in for a skip's compiled pattern and records each window it searches."""
-
-    def __init__(self, compiled):
-        self.compiled = compiled
-        self.windows: list[str] = []
-
-    def finditer(self, window):
-        self.windows.append(window)
-        return self.compiled.finditer(window)
-
-
-def test_skips_evaluate_each_distinct_span_once():
-    # three examples match the skipped span, two the kept one; a negative is never evaluated
-    text = "several unit tests were written, and then we used a t test"
-    counting = _CountingPattern(SKIP.compiled)
-    skip = parse_skip_matcher(r'#RegexpMatcher(r"[a-zA-Z]{1}t(\s+|-)test"i)#')
-    skip = skip._replace(compiled=counting)
-    trap, plain = _match_at(text, "t test"), _match_at(text, "a t test")
-    plain = plain._replace(span=Region(plain.span.start + 2, plain.span.end))
-    matches = [m._replace(example_index=i) for i, m in enumerate([trap, trap, plain, trap, plain])]
-    matches.append(plain._replace(polarity="negative"))
-    out = apply_skips(matches, (skip,), text)
-    assert len(counting.windows) == 2
-    assert [m.skipped for m in out] == [True, True, False, True, False, False]
-    assert out == apply_skips(matches, (SKIP,), text)
-
-
 def test_skip_never_touches_negative_matches():
     text = "several unit tests were written"
     m = _match_at(text, "t test")._replace(polarity="negative")
@@ -751,6 +727,34 @@ def test_negative_example_confirms(by_name, match_config):
     negatives = [m for m in matches if m.polarity == "negative"]
     assert len(negatives) == 1
     assert len(negatives[0].matched_supports) == len(spec.negatives[negatives[0].example_index].normalized_supports)
+
+
+class _CountingPattern:
+    """Stands in for a compiled skip pattern and records each window it searches."""
+
+    def __init__(self, compiled):
+        self.pattern = compiled.pattern
+        self.compiled = compiled
+        self.windows: list[str] = []
+
+    def finditer(self, window):
+        self.windows.append(window)
+        return self.compiled.finditer(window)
+
+
+def test_skips_evaluate_each_distinct_span_once(by_name, match_config):
+    # every example matches both spans, and only the two positive ones are searched
+    doc, spec = make_doc("We did not use a Student's t-test; the unit tests ran."), by_name["students_t_test"]
+    counting = _CountingPattern(SKIP)
+    matches = run_analyzer(doc, spec._replace(skips=(counting,)), match_config, scan_alone(doc, spec, match_config))
+    assert len(counting.windows) == 2
+    assert sorted((m.polarity, m.matched_term, m.skipped_by) for m in matches) == [
+        ("negative", "students t test", None),
+        ("negative", "t test", None),
+        ("positive", "students t test", None),
+        ("positive", "t test", SKIP.pattern),
+    ]
+    assert matches == run_analyzer(doc, spec, match_config, scan_alone(doc, spec, match_config))
 
 
 def test_empty_document_yields_nothing(by_name, match_config):

@@ -2,9 +2,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litscan.dsl import parse_analyzer
+from conftest import make_doc, scan_alone
+from litscan.dsl import AnalyzerSpec, parse_analyzer
 from litscan.ingest import Region
-from litscan.matching import EvidenceMatch
+from litscan.matching import EvidenceMatch, MatchConfig, run_analyzer
 from litscan.scoring import (
     VERDICT_NEGATIVE,
     VERDICT_NONE,
@@ -27,7 +28,7 @@ def _match(polarity="positive", start=0, skipped=False, supports=0, example=0):
         polarity=polarity,
         matched_term="thing",
         span=Region(start, start + 5),
-        matched_supports=tuple(("s", Region(0, 1)) for _ in range(supports)),
+        matched_supports=("s",) * supports,
         skipped_by="pat" if skipped else None,
     )
 
@@ -39,9 +40,8 @@ def _match(polarity="positive", start=0, skipped=False, supports=0, example=0):
             st.sampled_from(["positive", "negative"]), st.integers(0, 3), st.booleans(), st.integers(0, 2),
             st.integers(0, 2),
         ),
-        # as run_analyzer gives them: within one polarity, no two matches
-        # share both a span start and an example
-        unique_by=lambda key: (key[0], key[1], key[4]),
+        # as run_analyzer gives them: within one polarity, no two matches share a span
+        unique_by=lambda key: (key[0], key[1]),
         max_size=12,
     ),
     st.data(),
@@ -52,31 +52,37 @@ def test_resolve_analyzer_ignores_the_order_of_its_input(keys, data):
     assert resolve_analyzer(shuffled, SPEC) == resolve_analyzer(matches, SPEC)
 
 
-@settings(max_examples=200)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["positive", "negative"]), st.integers(0, 3), st.booleans(), st.integers(0, 2),
-            st.integers(0, 2),
-        ),
-        unique_by=lambda key: (key[0], key[1], key[4]),
-        max_size=12,
-    )
+# its examples share the synonyms, so several of them match one span
+SHARING = parse_analyzer(
+    "analyzer: sharing\ntags: ta\n[positive]\nuse the [[[thing]]]\n__we__ used the [[[gadget]]] __here__\n"
+    "the [[[widget]]] __here__\n[negative]\n__no__ [[[thing]]]\n__not__ the [[[widget]]] __here__\n"
+    '[skip]\n#RegexpMatcher(r"unit \\w+")#\n[synonyms]\n"thing", "gadget"\n'
 )
-def test_one_span_gives_one_match_of_each_polarity(keys):
-    # skip matchers belong to the analyzer and skip only positives, so the
-    # positives of one span are all skipped or none are
-    skipped = {start: skip for _, start, skip, _, _ in keys}
-    matches = [
-        _match(pol, start, skipped[start] and pol == "positive", supports, example)
-        for pol, start, _, supports, example in keys
-    ]
-    ev = resolve_analyzer(matches, SPEC)
-    kept = ev.positive_matches + ev.negative_matches + ev.skipped_matches
-    assert len({(m.polarity, m.span) for m in kept}) == len(kept)
-    for m in kept:
-        rivals = [o for o in matches if (o.polarity, o.span) == (m.polarity, m.span)]
-        assert m == min(rivals, key=match_order)
+WORDS = ["thing", "gadget", "widget", "we", "here", "no", "not", "unit", "the"]
+
+
+def _alone(example, polarity) -> AnalyzerSpec:
+    """SHARING with `example` as its only example, of `polarity`."""
+    examples = ((example,), ()) if polarity == "positive" else ((), (example,))
+    return AnalyzerSpec(SHARING.name, *examples, SHARING.skips, SHARING.synonyms, SHARING.tags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(WORDS), max_size=24))
+def test_one_span_gives_one_match_of_each_polarity(words):
+    # of the matches the examples give one span alone, run_analyzer keeps the
+    # first in match_order: the highest score, then the first example
+    doc, config = make_doc(" ".join(words)), MatchConfig()
+    matches = run_analyzer(doc, SHARING, config, scan_alone(doc, SHARING, config))
+    assert len({(m.polarity, m.span) for m in matches}) == len(matches)
+    rivals: dict[tuple[str, Region], list[EvidenceMatch]] = {}
+    for polarity, examples in (("positive", SHARING.positives), ("negative", SHARING.negatives)):
+        for index, example in enumerate(examples):
+            alone = _alone(example, polarity)
+            for m in run_analyzer(doc, alone, config, scan_alone(doc, alone, config)):
+                rivals.setdefault((m.polarity, m.span), []).append(m._replace(example_index=index))
+    assert {(m.polarity, m.span): m for m in matches} == {key: min(ms, key=match_order) for key, ms in rivals.items()}
+    ev = resolve_analyzer(matches, SHARING)
     negative = any(m.polarity == "negative" for m in matches)
     positive = any(m.polarity == "positive" and not m.skipped for m in matches)
     assert ev.verdict == (VERDICT_NEGATIVE if negative else VERDICT_POSITIVE if positive else VERDICT_NONE)

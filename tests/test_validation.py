@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ANALYZER_DIR, REGRESSION_DIR, filler
@@ -132,6 +132,8 @@ def test_load_truth_reports_missing_columns(tmp_path):
         load_truth(path)
 
 
+# each example writes a file, which can take longer than the default deadline on a busy host
+@settings(deadline=None)
 @given(
     st.lists(
         st.builds(GroundTruth, NAME, NAME, st.sampled_from(["present", "absent"])),
