@@ -11,8 +11,9 @@ Subcommands:
                   short-text gate: only the matching flags apply)
   sample          stratified sample of paper ids for manual review
 
-Exit codes: 0 success, 1 parse/configuration error or a classify worker
-that died, 2 partial per-paper failures during a classify run.
+Exit codes: 0 success, 1 usage, parse or configuration error or a
+classify worker that died, 2 partial per-paper failures during a classify
+run.
 """
 
 import argparse
@@ -24,7 +25,6 @@ from pathlib import Path
 # bytecode cache peaks 0.25-0.7 MB lower in RSS
 from .matching import (
     DEFAULT_FUZZY_MIN_LEN,
-    DEFAULT_MAX_EDITS,
     DEFAULT_SKIP_WINDOW,
     DEFAULT_SUPPORT_WINDOW,
     MatchConfig,
@@ -47,10 +47,7 @@ from .ingest import DEFAULT_SHORT_THRESHOLD, SourceMeta, load_document, load_man
 def _bundle(args: argparse.Namespace) -> Bundle:
     """The --analyzers bundle compiled for the matching flags."""
     match = MatchConfig(
-        support_window=args.support_window,
-        skip_window=args.skip_window,
-        max_edits=args.max_edits,
-        fuzzy_min_len=args.fuzzy_min_len,
+        support_window=args.support_window, skip_window=args.skip_window, fuzzy_min_len=args.fuzzy_min_len
     )
     return Bundle(load_bundle(args.analyzers), match)
 
@@ -60,10 +57,9 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
                    help="characters around a primary match searched for supports")
     p.add_argument("--skip-window", type=int, default=DEFAULT_SKIP_WINDOW, metavar="N",
                    help="characters around a primary match evaluated by skip matchers")
-    p.add_argument("--max-edits", type=int, choices=(0, 1), default=DEFAULT_MAX_EDITS,
-                   help="edit budget for fuzzy term matching")
     p.add_argument("--fuzzy-min-len", type=int, default=DEFAULT_FUZZY_MIN_LEN, metavar="N",
-                   help="minimum term length for fuzzy matching")
+                   help="minimum term length for one-edit matching; above the longest term, "
+                        "every term matches exactly")
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -175,9 +171,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as configuration
+    errors do: exit 2 means that some papers failed."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="litscan", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="litscan", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a manifest of papers")

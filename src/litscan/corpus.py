@@ -167,14 +167,12 @@ def run_corpus(
     manifest order, whatever `jobs` is.
 
     The process that classifies a paper writes its report, so only results
-    and errors come back, never report text. At jobs 1, and for a manifest
-    of at most one paper, this process classifies every paper. Otherwise it
-    builds the bundle's scanners and forks min(jobs, len(metas)) workers
-    (`pool.fork_map`), which inherit them and take the papers one at a
-    time. A worker that dies, or that an exception gets past classify_file
-    in, fails the run with ChildProcessError."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    and errors come back, never report text. At jobs 1 or below, and for
+    a manifest of at most one paper, this process classifies every paper.
+    Otherwise it builds the bundle's scanners and forks min(jobs,
+    len(metas)) workers (`pool.fork_map`), which inherit them and take the
+    papers one at a time. A worker that dies, or that an exception gets
+    past classify_file in, fails the run with ChildProcessError."""
     workers = min(jobs, len(metas))
     if workers <= 1:
         rows = [classify_file(meta, bundle, config, reports_dir) for meta in metas]

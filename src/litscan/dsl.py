@@ -167,7 +167,7 @@ def parse_analyzer(source: str, source_name: str = "<string>") -> AnalyzerSpec:
     positives: list[ExampleTemplate] = []
     negatives: list[ExampleTemplate] = []
     skips: list[re.Pattern] = []
-    synonym_chunks: list[str] = []
+    synonyms: list[str] = []
     errors: list[tuple[int, str]] = []
     keys_given: set[str] = set()
     section: str | None = None
@@ -243,28 +243,14 @@ def parse_analyzer(source: str, source_name: str = "<string>") -> AnalyzerSpec:
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
         elif section == "synonyms":
-            leftover = _SYNONYM_ITEM_RE.sub("", stripped).replace(",", "").strip()
+            parts = _SYNONYM_ITEM_RE.split(stripped)  # text between items, then an item, ...
+            leftover = "".join(parts[::2]).replace(",", "").strip()
             if leftover:
                 errors.append((lineno, f"malformed synonyms line (unquoted text {leftover!r})"))
                 continue
-            synonym_chunks.append(stripped)
+            synonyms.extend(parts[1::2])
 
-    synonyms: list[str] = []
-    for chunk in synonym_chunks:
-        synonyms.extend(_SYNONYM_ITEM_RE.findall(chunk))
-    empty_syn = [s for s in synonyms if not normalize_phrase(s)]
-    if empty_syn:
-        errors.append((0, f"synonyms empty after normalization: {empty_syn}"))
-
-    if name is None:
-        errors.append((0, "missing `analyzer:` header"))
-    if not positives:
-        errors.append((0, "no positive examples"))
-    if mode == "classify" and not tags:
-        errors.append((0, "tags must be non-empty for mode=classify"))
-    if errors:
-        raise AnalyzerParseError(source_name, sorted(errors))
-    return AnalyzerSpec(
+    spec = AnalyzerSpec(
         name=name,
         positives=tuple(positives),
         negatives=tuple(negatives),
@@ -274,35 +260,46 @@ def parse_analyzer(source: str, source_name: str = "<string>") -> AnalyzerSpec:
         region_fraction=region_fraction,
         mode=mode,
     )
+    empty_syn = [s for s, norm in zip(spec.synonyms, spec.normalized_synonyms) if not norm]
+    if empty_syn:
+        errors.append((0, f"synonyms empty after normalization: {empty_syn}"))
+    if name is None:
+        errors.append((0, "missing `analyzer:` header"))
+    if not positives:
+        errors.append((0, "no positive examples"))
+    if mode == "classify" and not tags:
+        errors.append((0, "tags must be non-empty for mode=classify"))
+    if errors:
+        raise AnalyzerParseError(source_name, sorted(errors))
+    return spec
 
 
 def load_bundle(directory: str | Path) -> list[AnalyzerSpec]:
     """Parse every *.analyzer file in a directory into specs sorted by name.
 
-    Any parse error aborts the whole bundle with an aggregated listing;
-    duplicate analyzer names are rejected.
+    One BundleError lists every file that does not parse and every analyzer
+    name given by a second file.
     """
     directory = Path(directory)
     files = sorted(directory.glob("*.analyzer"))
     if not files:
         raise BundleError(f"{directory}: no *.analyzer files found")
     specs: list[AnalyzerSpec] = []
+    file_of: dict[str, str] = {}  # analyzer name -> the file that gave it first
     problems: list[str] = []
     for f in files:
         try:
-            specs.append(parse_analyzer(f.read_text(encoding="utf-8-sig"), source_name=f.name))
+            spec = parse_analyzer(f.read_text(encoding="utf-8-sig"), source_name=f.name)
         except AnalyzerParseError as exc:
             problems.append(str(exc))
         except (OSError, UnicodeDecodeError) as exc:
             problems.append(f"{f.name}: unreadable ({exc})")
-    if problems:
-        raise BundleError("bundle failed to load:\n  " + "\n  ".join(problems))
-    by_name: dict[str, str] = {}
-    for spec, f in zip(specs, files):
-        if spec.name in by_name:
-            problems.append(f"duplicate analyzer name {spec.name!r} in {by_name[spec.name]} and {f.name}")
         else:
-            by_name[spec.name] = f.name
+            if spec.name in file_of:
+                problems.append(f"duplicate analyzer name {spec.name!r} in {file_of[spec.name]} and {f.name}")
+            else:
+                file_of[spec.name] = f.name
+                specs.append(spec)
     if problems:
         raise BundleError("bundle failed to load:\n  " + "\n  ".join(problems))
     return sorted(specs, key=lambda s: s.name)

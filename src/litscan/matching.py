@@ -54,7 +54,6 @@ from .ingest import DocumentText, Region, prefix_region
 
 DEFAULT_SUPPORT_WINDOW = 500
 DEFAULT_SKIP_WINDOW = 20
-DEFAULT_MAX_EDITS = 1
 DEFAULT_FUZZY_MIN_LEN = 8
 
 POSITIVE = "positive"
@@ -75,7 +74,6 @@ Layout = tuple[int, int, int]
 class _MatchFields(NamedTuple):
     support_window: int = DEFAULT_SUPPORT_WINDOW
     skip_window: int = DEFAULT_SKIP_WINDOW
-    max_edits: int = DEFAULT_MAX_EDITS
     fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LEN
 
 
@@ -86,8 +84,6 @@ class MatchConfig(_MatchFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.max_edits not in (0, 1):
-            raise ValueError(f"max_edits must be 0 or 1, got {self.max_edits}")
         if self.support_window <= 0:
             raise ValueError("support_window must be positive")
         if self.skip_window < 0:
@@ -343,13 +339,11 @@ class PieceScanner:
 
 def group_scanner(specs: Iterable[AnalyzerSpec], config: MatchConfig) -> PieceScanner:
     """The scanner of the terms of a group of analyzers under `config`: a
-    term is fuzzy when max_edits is 1 and it has at least fuzzy_min_len
-    characters, and at least 3: a start piece, a character between the
-    pieces and an end piece."""
+    term is fuzzy when it has at least fuzzy_min_len characters, and at
+    least 3: a start piece, a character between the pieces and an end
+    piece. A fuzzy_min_len above the longest term makes every term exact."""
     min_len = max(config.fuzzy_min_len, 3)
-    return PieceScanner(
-        (term, config.max_edits >= 1 and len(term) >= min_len) for spec in specs for term in spec.terms
-    )
+    return PieceScanner((term, len(term) >= min_len) for spec in specs for term in spec.terms)
 
 
 def scan_pieces(doc: DocumentText, specs: Sequence[AnalyzerSpec], scanner: PieceScanner) -> PieceStarts:
@@ -480,9 +474,9 @@ def run_analyzer(
 ) -> list[EvidenceMatch]:
     """Locate all evidence one analyzer finds in a document.
 
-    For every example, every candidate term (primary plus synonyms) is
-    searched inside the analyzer's region; a term shared by several examples
-    is searched once per call. `piece_starts` is required: it comes from
+    Each term of the analyzer (every example's primary plus the synonyms)
+    is searched once inside the analyzer's region, up front; the examples
+    then share those spans. `piece_starts` is required: it comes from
     `scan_pieces` over a group of analyzers that includes this one, with the
     group's scanner. Only the terms in its `hit` set are searched, as no
     other term can match; an analyzer with none of its terms hit returns
@@ -509,16 +503,13 @@ def run_analyzer(
         return []
     region = prefix_region(doc, spec.region_fraction)
     text = doc.normalized
-    spans_of: dict[str, list[Region]] = {}
+    spans_of = {term: find_term(text, region, term, piece_starts) for term in spec.terms if term in hit}
     evidence: dict[tuple[str, Region], EvidenceMatch] = {}  # (polarity, span) -> its match
     for polarity, examples in ((POSITIVE, spec.positives), (NEGATIVE, spec.negatives)):
         for idx, example in enumerate(examples):
             by_span: dict[Region, str] = {}  # first term wins: primary, then synonyms
             for term in spec.candidate_terms(example):
-                spans = spans_of.get(term)
-                if spans is None:
-                    spans = spans_of[term] = find_term(text, region, term, piece_starts) if term in hit else []
-                for span in spans:
+                for span in spans_of.get(term, ()):
                     by_span.setdefault(span, term)
             exact = {span for span, term in by_span.items() if text[span.start : span.end] == term}
             kept = [

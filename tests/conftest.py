@@ -48,13 +48,13 @@ def scan_alone(text, target, config: MatchConfig = MatchConfig(), region: Region
     An analyzer (an AnalyzerSpec) is scanned for in `text`, a document, up
     to its region's end by `matching.group_scanner` for it alone. A list of
     terms is scanned for in `region` of `text`, a string (all of it by
-    default), by their own scanner, in which a term is fuzzy when
-    config.max_edits is 1 and it has at least config.fuzzy_min_len
-    characters, and at least 3: the rule group_scanner applies."""
+    default), by their own scanner, in which a term is fuzzy when it has
+    at least config.fuzzy_min_len characters, and at least 3: the rule
+    group_scanner applies."""
     if isinstance(target, AnalyzerSpec):
         return scan_pieces(text, [target], group_scanner([target], config))
     min_len = max(config.fuzzy_min_len, 3)
-    scanner = PieceScanner((term, config.max_edits >= 1 and len(term) >= min_len) for term in target)
+    scanner = PieceScanner((term, len(term) >= min_len) for term in target)
     lo, hi = region or (0, len(text))
     return scanner.scan(text, max(lo, 0), min(hi, len(text)))
 

@@ -354,7 +354,7 @@ def test_a_run_builds_each_group_scanner_once(bundle, tmp_path, monkeypatch):
     assert builds == []
 
 
-@pytest.mark.parametrize("flags", [[], ["--max-edits", "0"], ["--fuzzy-min-len", "40"]])
+@pytest.mark.parametrize("flags", [[], ["--fuzzy-min-len", "40"]])
 def test_match_flags_reach_the_scanners(flags, tmp_path, capsys):
     # the fixture's one match is a misspelt term, "Kolmogrov Smirnov"
     tags = ("normality", "quantitative_analysis", "statistical_test")
@@ -810,6 +810,28 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys):
     assert main(["classify", "--manifest", str(manifest), "--analyzers", str(ANALYZER_DIR),
                  "--out", str(tmp_path / "out"), "--jobs", "0"]) == 1
     assert "error: --jobs must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "drop, extra, message",
+    [
+        ("--manifest", [], "the following arguments are required: --manifest"),
+        (None, ["--max-edits", "0"], "unrecognized arguments: --max-edits 0"),
+        (None, ["--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+    ],
+    ids=["no-manifest", "unknown-flag", "jobs-not-an-int"],
+)
+def test_a_usage_error_exits_1_and_writes_nothing(drop, extra, message, tmp_path, capsys):
+    # exit 2 is kept for a run in which some papers failed
+    manifest = _write_corpus(tmp_path, {"a": " ".join(filler(60))})
+    flags = {"--manifest": str(manifest), "--analyzers": str(ANALYZER_DIR), "--out": str(tmp_path / "out")}
+    argv = ["classify", *(arg for flag, value in flags.items() if flag != drop for arg in (flag, value)), *extra]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f": error: {message}")
     assert not (tmp_path / "out").exists()
 
 

@@ -4,6 +4,7 @@ import shutil
 import pytest
 
 from conftest import ANALYZER_DIR, make_doc, scan_alone, serialize_analyzer, skip_token
+from litscan import dsl
 from litscan.cli import main
 from litscan.dsl import (
     AnalyzerParseError,
@@ -14,7 +15,7 @@ from litscan.dsl import (
     parse_analyzer,
     parse_skip_matcher,
 )
-from litscan.ingest import Region
+from litscan.ingest import Region, normalize
 from litscan.matching import EvidenceMatch, MatchConfig, apply_skips, run_analyzer
 
 TTEST_SOURCE = (ANALYZER_DIR / "students_t_test.analyzer").read_text(encoding="utf-8")
@@ -246,6 +247,20 @@ def test_synonyms_reject_unquoted_text():
     _expect_error(src, "malformed synonyms", lineno=6)
 
 
+def test_each_synonym_is_normalized_once(monkeypatch):
+    calls = []
+
+    def counting(phrase):
+        calls.append(phrase)
+        return normalize(phrase)[0]
+
+    monkeypatch.setattr(dsl, "normalize_phrase", counting)
+    src = 'analyzer: x\ntags: t\n[positive]\na [[[b]]]\n[synonyms]\n"One Way", "two-way",\n"THREE"\n'
+    spec = parse_analyzer(src)
+    assert spec.normalized_synonyms == ("one way", "two way", "three")
+    assert [c for c in calls if c in spec.synonyms] == list(spec.synonyms)
+
+
 def test_serialize_round_trip_structurally_equal():
     spec = parse_analyzer(TTEST_SOURCE)
     assert parse_analyzer(serialize_analyzer(spec)) == spec
@@ -280,6 +295,18 @@ def test_load_bundle_aggregates_parse_errors(tmp_path):
         load_bundle(tmp_path)
     msg = str(err.value)
     assert "a.analyzer" in msg and "b.analyzer" in msg
+
+
+def test_load_bundle_names_parse_errors_and_duplicate_names_together(tmp_path):
+    (tmp_path / "a.analyzer").write_text("analyzer: same\ntags: t\n[positive]\na [[[b]]]\n")
+    (tmp_path / "b.analyzer").write_text("analyzer: broken\ntags: t\n[positive]\na [[[b\n")
+    (tmp_path / "c.analyzer").write_text("analyzer: same\ntags: t\n[positive]\nc [[[d]]]\n")
+    with pytest.raises(BundleError) as err:
+        load_bundle(tmp_path)
+    assert str(err.value).splitlines()[1:] == [
+        "  b.analyzer: line 0: no positive examples; line 4: unclosed primary marker",
+        "  duplicate analyzer name 'same' in a.analyzer and c.analyzer",
+    ]
 
 
 def test_load_bundle_accepts_a_byte_order_mark(tmp_path):

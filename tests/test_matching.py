@@ -53,15 +53,14 @@ def one_edit_distance(a: str, b: str) -> int:
     return 1 if a[:i] + a[i + 1 :] == b else 2  # one insertion/deletion
 
 
-def oracle_find(text: str, region: Region, term: str, max_edits: int, fuzzy_min_len: int = 8):
+def oracle_find(text: str, region: Region, term: str, fuzzy_min_len: int = 8):
     """Brute force: score every substring of length |term|-1..|term|+1, then
     apply the span-selection contract (closest-then-longest per start; spans
     overlapped by a strictly closer span are dropped). A term gets one edit
-    when max_edits is 1 and it has at least fuzzy_min_len characters, and at
-    least 3."""
+    when it has at least fuzzy_min_len characters, and at least 3."""
     lo, hi = max(region.start, 0), min(region.end, len(text))
     length = len(term)
-    fuzzy = max_edits >= 1 and length >= max(fuzzy_min_len, 3)
+    fuzzy = length >= max(fuzzy_min_len, 3)
     lengths = (length,) if not fuzzy else (length - 1, length, length + 1)
     limit = 0 if not fuzzy else 1
     found = []
@@ -115,7 +114,7 @@ def test_single_deletion_matched_for_long_terms():
     spans = find_term(text, Region(0, len(text)), term, scan_alone(text, [term]))
     assert spans == [Region(11, 28)]
     assert osa_distance(term, text[11:28]) == 1
-    assert spans == oracle_find(text, Region(0, len(text)), term, 1)
+    assert spans == oracle_find(text, Region(0, len(text)), term)
 
 
 def test_transposition_across_the_midpoint_matched():
@@ -127,7 +126,7 @@ def test_transposition_across_the_midpoint_matched():
     shared = scan_alone(text, [term, "t test", "shapiro wilk"])
     assert find_term(text, region, term, scan_alone(text, [term])) == [Region(11, 29)]
     assert find_term(text, region, term, shared) == [Region(11, 29)]
-    assert oracle_find(text, region, term, 1) == [Region(11, 29)]
+    assert oracle_find(text, region, term) == [Region(11, 29)]
     assert osa_distance(term, text[11:29]) == 1
 
 
@@ -165,6 +164,9 @@ def test_one_edit_check_equals_capped_osa_distance_exhaustively():
 
 norm_text = st.text(alphabet=st.sampled_from(list("ab ")), max_size=80)
 norm_term = st.text(alphabet=st.sampled_from(list("ab ")), min_size=1, max_size=12)
+# fuzzy_min_len values; 13, above every norm_term, makes every term exact
+fuzzy_min_lens = st.sampled_from([2, 5, 8, 13])
+EXACT = MatchConfig(fuzzy_min_len=13)
 
 
 @settings(max_examples=200)
@@ -175,7 +177,7 @@ def test_exact_mode_equals_naive_substring_search(text, term):
     while start != -1:
         expected.append(Region(start, start + len(term)))
         start = text.find(term, start + 1)
-    starts = scan_alone(text, [term], MatchConfig(max_edits=0))
+    starts = scan_alone(text, [term], EXACT)
     assert find_term(text, Region(0, len(text)), term, starts) == expected
 
 
@@ -184,7 +186,7 @@ def test_exact_mode_equals_naive_substring_search(text, term):
 def test_fuzzy_mode_agrees_with_oracle(text, term):
     region = Region(0, len(text))
     starts = scan_alone(text, [term])
-    assert find_term(text, region, term, starts) == oracle_find(text, region, term, 1)
+    assert find_term(text, region, term, starts) == oracle_find(text, region, term)
 
 
 def _draw_region(data, text):
@@ -201,7 +203,7 @@ def test_fuzzy_oracle_agreement_on_subregions(text, term, fuzzy_min_len, data):
     text = text[:at] + term + text[at:]
     region = _draw_region(data, text)
     got = find_term(text, region, term, scan_alone(text, [term], MatchConfig(fuzzy_min_len=fuzzy_min_len), region))
-    assert got == oracle_find(text, region, term, 1, fuzzy_min_len)
+    assert got == oracle_find(text, region, term, fuzzy_min_len)
     assert all(s.start >= region.start and s.end <= region.end for s in got)
 
 
@@ -224,11 +226,11 @@ def _assert_scan_agrees_with_oracle(text, lo, hi, got):
     }
     region = Region(lo, hi)
     for term, (a, b, _) in got.layouts.items():
-        # a term is fuzzy when its layout has a start piece; fuzzy_min_len=3,
-        # the least length that gets an edit, then leaves the budget to
-        # max_edits alone
+        # a term is fuzzy when its layout has a start piece; a fuzzy_min_len
+        # of 3, the least length that gets an edit, or above its length,
+        # then gives the oracle the same budget
         spans = find_term(text, region, term, got)
-        assert spans == oracle_find(text, region, term, int(a != b), 3), term
+        assert spans == oracle_find(text, region, term, 3 if a != b else len(term) + 1), term
         assert not spans or term in got.hit, term
 
 
@@ -236,32 +238,31 @@ def _assert_scan_agrees_with_oracle(text, lo, hi, got):
 @given(
     norm_text,
     st.lists(norm_term, min_size=1, max_size=5),
-    st.sampled_from([0, 1]),
-    st.sampled_from([2, 5, 8]),
+    fuzzy_min_lens,
     st.data(),
 )
-def test_shared_scan_equals_single_term_search_and_oracle(text, terms, max_edits, fuzzy_min_len, data):
+def test_shared_scan_equals_single_term_search_and_oracle(text, terms, fuzzy_min_len, data):
     # over "ab " one piece is often a prefix of another, so hits fan out
     region = _draw_region(data, text)
-    config = MatchConfig(max_edits=max_edits, fuzzy_min_len=fuzzy_min_len)
+    config = MatchConfig(fuzzy_min_len=fuzzy_min_len)
     shared = scan_alone(text, terms, config)
     _assert_scan_agrees_with_oracle(text, 0, len(text), shared)
     for term in terms:
         alone = find_term(text, region, term, scan_alone(text, [term], config, region))
         assert find_term(text, region, term, shared) == alone
-        assert alone == oracle_find(text, region, term, max_edits, fuzzy_min_len)
+        assert alone == oracle_find(text, region, term, fuzzy_min_len)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(norm_term, min_size=1, max_size=5), st.sampled_from([0, 1]), st.sampled_from([2, 5, 8]), st.data())
-def test_find_term_is_sound_on_every_exact_piece_start(terms, max_edits, fuzzy_min_len, data):
+@given(st.lists(norm_term, min_size=1, max_size=5), fuzzy_min_lens, st.data())
+def test_find_term_is_sound_on_every_exact_piece_start(terms, fuzzy_min_len, data):
     # text made of the terms' tails, where pieces occur with no span of their
     # term around them; no scan test is applied, so find_term alone must
     # keep only the true spans
     tails = sorted({term[i:] for term in terms for i in range(len(term))} | set("ab "))
     text = "".join(data.draw(st.lists(st.sampled_from(tails), max_size=20)))
     region = Region(0, len(text))
-    layouts = scan_alone(text, terms, MatchConfig(max_edits=max_edits, fuzzy_min_len=fuzzy_min_len)).layouts
+    layouts = scan_alone(text, terms, MatchConfig(fuzzy_min_len=fuzzy_min_len)).layouts
     every = PieceStarts(layouts)
     for term, layout in layouts.items():
         for piece in _pieces(term, layout):
@@ -269,7 +270,7 @@ def test_find_term_is_sound_on_every_exact_piece_start(terms, max_edits, fuzzy_m
     every.hit = set(layouts)
     for term in terms:
         got = find_term(text, region, term, every)
-        assert got == oracle_find(text, region, term, max_edits, fuzzy_min_len), term
+        assert got == oracle_find(text, region, term, fuzzy_min_len), term
 
 
 def test_shared_scan_escapes_regex_metacharacters():
@@ -283,7 +284,7 @@ def test_shared_scan_escapes_regex_metacharacters():
     region = Region(0, len(text))
     for term in terms:
         got = find_term(text, region, term, shared)
-        assert got == oracle_find(text, region, term, 1, 8)
+        assert got == oracle_find(text, region, term)
         assert got, term  # every term occurs at least once
     # unescaped, "." and "+" would also match "pxvalue" and "aab"
     assert [text[s:e] for s, e in find_term(text, region, "p.value", shared)] == ["p.value"]
@@ -298,9 +299,8 @@ def test_scan_end_cuts_off_a_longer_piece_but_keeps_its_prefix():
     assert scanner.scan(text, 0, 7) == {"zx": [3], "qj": [5]}
     assert scanner.scan(text, 0, 8) == {"zx": [3], "zxqjv": [3], "qj": [5]}
     assert scanner.scan(text, 4, len(text)) == {"zx": [9], "zxqjv": [9], "qj": [5, 11]}
-    exact = MatchConfig(max_edits=0)
-    assert find_term(text, Region(0, 7), "zx", scan_alone(text, ["zx"], exact, Region(0, 7))) == [Region(3, 5)]
-    assert find_term(text, Region(0, 7), "zxqjv", scan_alone(text, ["zxqjv"], exact, Region(0, 7))) == []
+    assert find_term(text, Region(0, 7), "zx", scan_alone(text, ["zx"], EXACT, Region(0, 7))) == [Region(3, 5)]
+    assert find_term(text, Region(0, 7), "zxqjv", scan_alone(text, ["zxqjv"], EXACT, Region(0, 7))) == []
 
 
 def test_a_piece_hit_only_as_a_prefix_still_hits_its_term():
@@ -335,7 +335,7 @@ def test_an_exact_term_anchored_near_its_end_is_checked_whole(term, layout):
         for lo, hi in ((0, len(text)), (1, len(text)), (0, len(text) - 1)):
             starts = scanner.scan(text, lo, hi)
             _assert_scan_agrees_with_oracle(text, lo, hi, starts)
-            assert find_term(text, Region(lo, hi), term, starts) == oracle_find(text, Region(lo, hi), term, 0)
+            assert find_term(text, Region(lo, hi), term, starts) == oracle_find(text, Region(lo, hi), term)
     text = f"b{piece} {term} xb{piece}"
     assert find_term(text, Region(0, len(text)), term, scanner.scan(text, 0, len(text))) == [
         Region(len(piece) + 2, len(piece) + 2 + len(term))
@@ -403,7 +403,7 @@ def test_group_scan_is_sound_for_every_one_edit_variant_at_the_text_edges(compil
             starts = scanner.scan(text, 0, len(text))
             for region in (Region(0, len(text)), Region(0, len(left) + len(variant))):
                 got = find_term(text, region, term, starts)
-                assert got == oracle_find(text, region, term, 1), (text, region)
+                assert got == oracle_find(text, region, term), (text, region)
                 if variant == term:
                     assert Region(len(left), len(left) + len(term)) in got, (text, region)
 
@@ -424,7 +424,7 @@ def test_group_scan_finds_every_exact_term_whole_at_the_text_edges(compiled, ter
             starts = scanner.scan(text, 0, len(text))
             for region in (Region(0, len(text)), Region(0, len(left) + len(variant))):
                 got = find_term(text, region, term, starts)
-                assert got == oracle_find(text, region, term, 1), (text, region)
+                assert got == oracle_find(text, region, term), (text, region)
                 if variant == term:
                     assert Region(len(left), len(left) + len(term)) in got, (text, region)
 
@@ -440,7 +440,7 @@ def test_a_piece_that_is_both_start_and_end_piece_keeps_both_tests():
     assert starts == {"ab": [0]} and starts.hit == {"ab ab"}
     region = Region(0, len(text))
     alone = scan_alone(text, ["ab ab"], MatchConfig(fuzzy_min_len=5), region)
-    assert find_term(text, region, "ab ab", alone) == oracle_find(text, region, "ab ab", 1, 5) == [region]
+    assert find_term(text, region, "ab ab", alone) == oracle_find(text, region, "ab ab", 5) == [region]
 
 
 def test_scanner_without_pieces_finds_nothing():
@@ -500,7 +500,7 @@ def test_group_start_letters_lose_no_one_edit_match(bundle, match_config, mode):
         assert (a < b < c if fuzzy else a == b) and c < len(term), term
         got = find_term(text, region, term, starts)
         assert got == find_term(text, region, term, scan_alone(text, [term], match_config, region)), term
-        assert got == oracle_find(text, region, term, 1), term
+        assert got == oracle_find(text, region, term), term
         for variant, slot in slots:
             if fuzzy or variant == term:
                 assert any(s.start <= slot.end and slot.start <= s.end for s in got), (term, variant)
@@ -830,4 +830,4 @@ def test_randomized_injections_agree_with_oracle():
         text = " ".join(doc_words)
         region = Region(0, len(text))
         starts = scan_alone(text, [term])
-        assert find_term(text, region, term, starts) == oracle_find(text, region, term, 1)
+        assert find_term(text, region, term, starts) == oracle_find(text, region, term)
