@@ -354,9 +354,11 @@ def test_a_run_builds_each_group_scanner_once(bundle, tmp_path, monkeypatch):
     assert builds == []
 
 
-@pytest.mark.parametrize("flags", [[], ["--fuzzy-min-len", "40"]])
+@pytest.mark.parametrize("flags", [[], ["--fuzzy-min-len", "40"], ["--fuzzy-min-len", "19"]])
 def test_match_flags_reach_the_scanners(flags, tmp_path, capsys):
-    # the fixture's one match is a misspelt term, "Kolmogrov Smirnov"
+    # the fixture's one match is a misspelt term, "Kolmogrov Smirnov"; the
+    # term it matches, "kolmogorov smirnov", has 18 characters, so 19 is the
+    # least --fuzzy-min-len that makes it exact
     tags = ("normality", "quantitative_analysis", "statistical_test")
     verdict = "none" if flags else "positive"
     fixture = REGRESSION_DIR / "fuzzy-term-typo.txt"
